@@ -43,6 +43,7 @@ from .circulant import (
     build_ast,
     circulant_structure_constant,
     expand,
+    expand_partition,
     extract,
     extract_partition,
     is_ast_regular,

@@ -20,7 +20,9 @@ of the corresponding triple scheme and its inverse.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Union
 
 from .core import (
@@ -30,6 +32,7 @@ from .core import (
     PairSet,
     TernaryRelation,
     TriplePartition,
+    iter_bits,
     make_domain,
     trivial_relations,
 )
@@ -315,9 +318,48 @@ class ASTRegularityReport:
         }
 
 
+def _pair_bins(P: IndexPartition) -> list:
+    """For each pair (y,z) of X(n), in rank order, the counts of the bins
+    (part(y-w, z-w), part(w,z), part(y,w)) over w in Omega.
+
+    Bin (a,b,c) of a pair in part d counts the w outside {0,y,z} that meet
+    p^d_{abc}. The three w in {0,y,z} land in the bins (d,-1,-1), (-1,d,-1)
+    and (-1,-1,d), where -1 marks a pair outside X(n): the same three for
+    every pair of part d, so they never tell two pairs of a part apart. That
+    lets each of the three columns over w be a slice of a precomputed table.
+    """
+    n = P.n
+    part = [[-1] * n for _ in range(n)]
+    for idx, I in enumerate(P.parts):
+        for (i, j) in I:
+            part[i][j] = idx
+    column = [[part[w][z] for w in range(n)] for z in range(n)]
+    # turned[d][n-1-y : 2n-1-y] lists part(y-w, y-w+d) for w = 0..n-1
+    turned = []
+    for d in range(n):
+        back = [part[u][(u + d) % n] for u in range(n - 1, -1, -1)]
+        turned.append(back + back)
+    bins = []
+    for y in range(1, n):
+        row = part[y]
+        start = n - 1 - y
+        for z in range(1, n):
+            if z != y:
+                diagonal = turned[(z - y) % n][start : start + n]
+                bins.append(Counter(zip(diagonal, column[z], row)))
+    return bins
+
+
 def is_ast_regular(P: IndexPartition) -> ASTRegularityReport:
     """Test conditions (a) regularity, (b) Sym(3)-invariance, (c) constant
-    intersection numbers, in that order, stopping at the first failure."""
+    intersection numbers, in that order, stopping at the first failure.
+
+    (c) bins every pair of X(n) once (:func:`_pair_bins`): p^L_{IJK} is
+    constant iff every pair of L has the bin counts of the first pair of L.
+    On a failure the least quadruple (a,b,c,d) whose bin (a,b,c) differs
+    within part d is reported, with the witness of
+    :func:`circulant_structure_constant` on that quadruple.
+    """
     # (a): every part row/column regular
     part_stats = []
     for idx, part in enumerate(P.parts):
@@ -341,40 +383,51 @@ def is_ast_regular(P: IndexPartition) -> ASTRegularityReport:
                     failure={"condition": "b", "part": idx, "element": SYM3_NAME[g]},
                 )
             action[(idx, g)] = target
-    # (c): all quadruples of parts have a constant count
-    constants = {}
+    # (c): every part has one bin count vector
+    bins = _pair_bins(P)
+    reference = []
+    failing = []  # per varying part d, its least quadruple (a,b,c,d)
+    for d, L in enumerate(P.parts):
+        ranks = iter_bits(L.mask)
+        ref = bins[next(ranks)]
+        varying = set()
+        for r in ranks:
+            other = bins[r]
+            if not dict.__eq__(other, ref):  # Counter's == runs in Python
+                varying.update(key for key in ref.keys() | other.keys() if ref[key] != other[key])
+        if varying:
+            failing.append(min(varying) + (d,))
+        reference.append(ref)
+    if failing:
+        least = min(failing)
+        res = circulant_structure_constant(*(P.parts[q] for q in least))
+        return ASTRegularityReport(
+            False,
+            part_stats=part_stats,
+            action=action,
+            failure={"condition": "c", "quadruple": list(least), "witness": res.to_obj()},
+        )
     k = len(P.parts)
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                for d in range(k):
-                    res = circulant_structure_constant(
-                        P.parts[a], P.parts[b], P.parts[c], P.parts[d]
-                    )
-                    if isinstance(res, NonConstant):
-                        return ASTRegularityReport(
-                            False,
-                            part_stats=part_stats,
-                            action=action,
-                            failure={
-                                "condition": "c",
-                                "quadruple": [a, b, c, d],
-                                "witness": res.to_obj(),
-                            },
-                        )
-                    constants[(a, b, c, d)] = res
+    constants = {
+        (a, b, c, d): reference[d].get((a, b, c), 0) for (a, b, c, d) in product(range(k), repeat=4)
+    }
     return ASTRegularityReport(True, part_stats, action, constants, None)
 
 
+def expand_partition(P: IndexPartition) -> TriplePartition:
+    """The four trivial relations followed by the expansion of each part, ids
+    4..3+|parts|; unchecked, for partitions already known to be AST-regular."""
+    relations = list(trivial_relations(make_domain(P.n))) + [expand(part) for part in P.parts]
+    return TriplePartition(P.n, tuple(relations))
+
+
 def build_ast(P: IndexPartition) -> TriplePartition:
-    """The triple scheme of an AST-regular partition: the four trivial
-    relations followed by the expansion of each part, ids 4..3+|parts|."""
+    """The triple scheme of an AST-regular partition (:func:`expand_partition`);
+    raises :class:`NotASTRegular` with the report otherwise."""
     report = is_ast_regular(P)
     if not report.ok:
         raise NotASTRegular(f"partition is not AST-regular: {report.failure}", report=report)
-    d = make_domain(P.n)
-    relations = list(trivial_relations(d)) + [expand(part) for part in P.parts]
-    return TriplePartition(P.n, tuple(relations))
+    return expand_partition(P)
 
 
 def extract_partition(A: TriplePartition) -> IndexPartition:

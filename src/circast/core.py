@@ -39,6 +39,14 @@ class Domain:
             raise DomainTooSmall(f"base set needs n >= 3, got n={self.n}")
 
 
+def strict_int(value, what: str) -> int:
+    """The value itself if it is an int; bools, floats and strings raise
+    ValueError instead of being read as a number."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def make_domain(n: int) -> Domain:
     """Validated constructor for :class:`Domain`."""
     return Domain(n)
@@ -93,7 +101,12 @@ class PairSet:
         mask = 0
         for pair in pairs:
             pair = tuple(pair)
-            if len(pair) != 2 or not in_pair_universe(n, pair):
+            if (
+                len(pair) != 2
+                or type(pair[0]) is not int
+                or type(pair[1]) is not int
+                or not in_pair_universe(n, pair)
+            ):
                 raise ValueError(f"{pair!r} is not in the pair universe for n={n}")
             mask |= 1 << pair_rank(n, pair)
         return cls(n, mask)
@@ -150,7 +163,7 @@ class PairSet:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PairSet":
-        return cls.from_pairs(int(obj["n"]), (tuple(p) for p in obj["pairs"]))
+        return cls.from_pairs(strict_int(obj["n"], "n"), obj["pairs"])
 
     def __repr__(self) -> str:
         return f"PairSet(n={self.n}, pairs={list(self.pairs())})"
@@ -177,10 +190,20 @@ class TernaryRelation:
     def from_triples(cls, n: int, triples: Iterable[Triple]) -> "TernaryRelation":
         out = set()
         for t in triples:
-            t = tuple(t)
-            if len(t) != 3 or not all(isinstance(c, int) and 0 <= c < n for c in t):
+            try:
+                x, y, z = t
+            except (TypeError, ValueError):
+                raise ValueError(f"{t!r} is not a triple over 0..{n - 1}") from None
+            if not (
+                type(x) is int
+                and type(y) is int
+                and type(z) is int
+                and 0 <= x < n
+                and 0 <= y < n
+                and 0 <= z < n
+            ):
                 raise ValueError(f"{t!r} is not a triple over 0..{n - 1}")
-            out.add(t)
+            out.add((x, y, z))
         return cls(n, frozenset(out))
 
     def sorted_triples(self) -> tuple[Triple, ...]:
@@ -200,7 +223,7 @@ class TernaryRelation:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TernaryRelation":
-        return cls.from_triples(int(obj["n"]), (tuple(t) for t in obj["triples"]))
+        return cls.from_triples(strict_int(obj["n"], "n"), obj["triples"])
 
     def __repr__(self) -> str:
         return f"TernaryRelation(n={self.n}, size={len(self.triples)})"
@@ -274,14 +297,14 @@ class TriplePartition:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TriplePartition":
-        n = int(obj["n"])
+        n = strict_int(obj["n"], "n")
         entries = obj["relations"]
-        ids = sorted(int(e["id"]) for e in entries)
+        ids = sorted(strict_int(e["id"], "relation id") for e in entries)
         if ids != list(range(len(entries))):
             raise ValueError("relation ids must be exactly 0..m")
         rels: list = [None] * len(entries)
         for e in entries:
-            rels[int(e["id"])] = TernaryRelation.from_triples(n, (tuple(t) for t in e["triples"]))
+            rels[e["id"]] = TernaryRelation.from_triples(n, e["triples"])
         part = cls(n, tuple(rels))
         part.validate()
         return part
@@ -319,8 +342,8 @@ class IndexPartition:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "IndexPartition":
-        n = int(obj["n"])
-        parts = tuple(PairSet.from_pairs(n, (tuple(p) for p in block)) for block in obj["parts"])
+        n = strict_int(obj["n"], "n")
+        parts = tuple(PairSet.from_pairs(n, block) for block in obj["parts"])
         return cls(n, parts)
 
     def __repr__(self) -> str:

@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .astcheck import verify_ast
-from .circulant import SYM3, ASTRegularityReport, build_ast, is_ast_regular, pair_image
+from .circulant import SYM3, ASTRegularityReport, expand_partition, is_ast_regular, pair_image
 from .core import (
     IndexPartition,
     Pair,
@@ -43,7 +43,8 @@ from .core import (
 class SearchConfig:
     """Parameters of one search run. `dedupe` is "none" or "multiplier";
     `time_budget` is wall-clock seconds, exceeded budgets yield partial
-    results with the completeness flag cleared."""
+    results with the completeness flag cleared. Out-of-range values raise
+    ValueError: limit >= 0, max_nI >= 1, time_budget > 0."""
 
     n: int
     max_nI: Optional[int] = None
@@ -58,6 +59,12 @@ class SearchConfig:
             raise ValueError(f"search needs n >= 3, got n={self.n}")
         if self.dedupe not in ("none", "multiplier"):
             raise ValueError(f"dedupe must be 'none' or 'multiplier', got {self.dedupe!r}")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError(f"limit must be >= 0, got {self.limit}")
+        if self.max_nI is not None and self.max_nI < 1:
+            raise ValueError(f"max_nI must be >= 1, got {self.max_nI}")
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError(f"time_budget must be > 0 seconds, got {self.time_budget}")
 
     def to_obj(self) -> dict:
         return {
@@ -322,7 +329,9 @@ def _partition_key(P: IndexPartition) -> tuple:
 def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
     """Backtracking enumeration of all AST-regular partitions of X(n) under
     the config's caps and filters; each reported partition is re-verified via
-    the scheme construction and the axiom checker."""
+    the regularity test and the axiom checker on its scheme."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.monotonic()
     n = config.n
     max_r = n - 2
@@ -357,7 +366,7 @@ def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
         report = is_ast_regular(partition)
         if not report.ok:
             raise RuntimeError("search emitted a partition that fails re-verification")
-        if not verify_ast(build_ast(partition)).ok:
+        if not verify_ast(expand_partition(partition)).ok:
             raise RuntimeError("search emitted a partition whose scheme fails the axiom check")
         hits.append(SearchHit(partition, report))
     hits.sort(key=lambda hit: _partition_key(hit.partition))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from sympy.utilities.iterables import multiset_partitions
 
-from circast import IndexPartition, PairSet, is_ast_regular
+from circast import AxiomFailure, IndexPartition, PairSet, StructureTensor, is_ast_regular
 
 
 def brute_structure_constant(n, I, J, K, L):
@@ -32,6 +32,41 @@ def brute_structure_constant(n, I, J, K, L):
         elif c != first:
             return ("varies", first_pair, first, (y, z), c)
     return ("const", first)
+
+
+def brute_ast_regular(n, parts):
+    """The three AST-regularity conditions on a list of pair sets, in order:
+    ("a", part), ("b", part), ("c", quadruple, varies-tuple) for the first
+    failure, else ("ok", constants), with the k^4 quadruples in (a,b,c,d)
+    order and one brute_structure_constant call each."""
+    parts = [set(part) for part in parts]
+    for idx, part in enumerate(parts):
+        rows = [sum(1 for (i, _) in part if i == x) for x in range(1, n)]
+        cols = [sum(1 for (_, j) in part if j == x) for x in range(1, n)]
+        if len(set(rows + cols)) != 1 or rows[0] == 0:
+            return ("a", idx)
+    maps = (
+        lambda i, j: (i, j),
+        lambda i, j: (-i % n, (j - i) % n),
+        lambda i, j: ((i - j) % n, -j % n),
+        lambda i, j: (j, i),
+        lambda i, j: (-j % n, (i - j) % n),
+        lambda i, j: ((j - i) % n, -i % n),
+    )
+    for idx, part in enumerate(parts):
+        if any({f(i, j) for (i, j) in part} not in parts for f in maps):
+            return ("b", idx)
+    k = len(parts)
+    constants = {}
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                for d in range(k):
+                    res = brute_structure_constant(n, parts[a], parts[b], parts[c], parts[d])
+                    if res[0] == "varies":
+                        return ("c", (a, b, c, d), res)
+                    constants[(a, b, c, d)] = res[1]
+    return ("ok", constants)
 
 
 def brute_expand(n, I):
@@ -87,3 +122,77 @@ def direct_marginals(A):
             per_axis.append(values.pop() if len(values) == 1 else None)
         out[rid] = tuple(per_axis)
     return out
+
+
+def _axis_constant(n, rel, axis):
+    counts = {}
+    for t in rel.triples:
+        if axis == 1:
+            k = (t[1], t[2])
+        elif axis == 2:
+            k = (t[0], t[2])
+        else:
+            k = (t[0], t[1])
+        counts[k] = counts.get(k, 0) + 1
+    ref = None
+    ref_pair = None
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            c = counts.get((x, y), 0)
+            if ref is None:
+                ref, ref_pair = c, (x, y)
+            elif c != ref:
+                return None, (ref_pair, ref, (x, y), c)
+    return ref, None
+
+
+def reference_verify_a2(A):
+    """The plain O(n^4) axiom-A2 scan with one dict lookup per (triple, w),
+    kept as the reference for circast.verify_a2: same scan order, witness
+    and tensor."""
+    n = A.n
+    ids = A.triple_ids()
+    reference = {}  # relation id -> (triple, count vector)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                t = (x, y, z)
+                vec = {}
+                for w in range(n):
+                    key = (ids[(w, y, z)], ids[(x, w, z)], ids[(x, y, w)])
+                    vec[key] = vec.get(key, 0) + 1
+                l = ids[t]
+                seen = reference.get(l)
+                if seen is None:
+                    reference[l] = (t, vec)
+                elif seen[1] != vec:
+                    bins = sorted(set(seen[1]) | set(vec))
+                    bad = next(b for b in bins if seen[1].get(b, 0) != vec.get(b, 0))
+                    return AxiomFailure(
+                        "A2",
+                        {
+                            "relation": l,
+                            "triple_a": seen[0],
+                            "triple_b": t,
+                            "bin": bad,
+                            "count_a": seen[1].get(bad, 0),
+                            "count_b": vec.get(bad, 0),
+                        },
+                    )
+    p = {
+        (i, j, k, l): count
+        for l, (_, vec) in reference.items()
+        for (i, j, k), count in vec.items()
+    }
+    marginals = ({}, {}, {})
+    for rid in range(4, len(A.relations)):
+        for axis in (1, 2, 3):
+            value, witness = _axis_constant(n, A.relations[rid], axis)
+            if witness is not None:
+                return AxiomFailure(
+                    "A2", {"relation": rid, "axis": axis, "reason": "marginal not constant"}
+                )
+            marginals[axis - 1][rid] = value
+    return StructureTensor(n, A.m, p, *marginals)

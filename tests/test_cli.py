@@ -209,6 +209,52 @@ def test_search_flags():
     assert len(obj["partitions"]) == 1
     code, obj = run_json(["search", "--n", "5", "--limit", "1"])
     assert len(obj["partitions"]) == 1
+    code, obj = run_json(["search", "--n", "5", "--limit", "0"])
+    assert code == 0 and obj["partitions"] == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--limit", "-1"],
+        ["--max-ni", "0"],
+        ["--timeout", "0"],
+        ["--timeout=-1s"],
+        ["--jobs", "0"],
+    ],
+)
+def test_search_rejects_out_of_range_arguments(flags, capsys):
+    code, out = run(["search", "--n", "5", *flags])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _n3_scheme_with_id(bad_id):
+    obj = build_ast(IndexPartition(3, (PairSet.universe(3),))).to_obj()
+    obj["relations"][1]["id"] = bad_id
+    return obj
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("symmetrise", {"n": 5, "pairs": [[True, 2]]}),
+        ("symmetrise", {"n": 5.9, "pairs": [[1, 2]]}),
+        ("symmetrise", {"n": 5, "pairs": [[1.0, 2]]}),
+        ("verify-partition", {"n": True, "parts": [[[1, 2], [2, 1]]]}),
+        ("verify-partition", {"n": 3, "parts": [[[1, 2], [2, True]]]}),
+        ("thin", {"n": 3, "triples": [[0, 1, False]]}),
+        ("orbits", {"n": 5.0, "generators": ["(0 1 2 3 4)"]}),
+        ("verify-ast", _n3_scheme_with_id(True)),
+        ("verify-ast", _n3_scheme_with_id(1.0)),
+        ("verify-ast", _n3_scheme_with_id("1")),
+    ],
+)
+def test_json_input_needs_strict_integers(tmp_path, command, obj):
+    path = write_json(tmp_path, "in.json", obj)
+    flag = "--group" if command == "orbits" else "--in"
+    code, out = run([command, flag, path])
+    assert code == 2 and out == ""
 
 
 def test_symmetrise(tmp_path):

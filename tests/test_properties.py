@@ -1,0 +1,277 @@
+"""Property tests: the binning kernels against the brute-force references.
+
+`is_ast_regular` bins every pair of X(n) once and `verify_a2` counts each
+triple's w-column with one Counter; both must agree, verdict and witness, with
+the plain loops in `oracles.py`.
+"""
+
+import collections
+import math
+from functools import lru_cache
+
+import oracles
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from sympy.utilities.iterables import multiset_partitions
+
+from circast import (
+    SYM3,
+    IndexPartition,
+    NonConstant,
+    PairSet,
+    SearchConfig,
+    TernaryRelation,
+    TriplePartition,
+    agl1,
+    circulant_structure_constant,
+    expand,
+    is_ast_regular,
+    make_domain,
+    orbit_partition_on_triples,
+    pair_image,
+    permute_triple,
+    search_ast_regular,
+    sym3_image,
+    trivial_relations,
+    verify_a2,
+)
+
+PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _orbits(n, maps):
+    """Orbits on X(n) of the group generated by the given pair maps."""
+    seen, out = set(), []
+    for pair in PairSet.universe(n).pairs():
+        if pair in seen:
+            continue
+        orbit, frontier = {pair}, [pair]
+        while frontier:
+            cur = frontier.pop()
+            for f in maps:
+                image = f(cur)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        out.append(orbit)
+    return out
+
+
+def _sym3_maps(n):
+    return [lambda p, g=g: pair_image(n, p, g) for g in SYM3]
+
+
+def _multiplier_maps(n):
+    units = [c for c in range(2, n) if math.gcd(c, n) == 1]
+    return [lambda p, c=c: (c * p[0] % n, c * p[1] % n) for c in units]
+
+
+def _blocks(n, kind):
+    """Building blocks of a random partition of X(n): single pairs, orbits of
+    the six index maps, of the unit multipliers, or of both."""
+    if kind == "pairs":
+        return [{p} for p in PairSet.universe(n).pairs()]
+    maps = {
+        "sym3": _sym3_maps(n),
+        "multiplier": _multiplier_maps(n),
+        "both": _sym3_maps(n) + _multiplier_maps(n),
+    }[kind]
+    return _orbits(n, maps)
+
+
+@lru_cache(maxsize=None)
+def _schemes(n):
+    """The AST-regular partitions of X(n)."""
+    return tuple(hit.partition for hit in search_ast_regular(SearchConfig(n)).hits)
+
+
+def _part_orbits(P):
+    """Orbits of the six index maps on the parts of an AST-regular P."""
+    index_of = {part: idx for idx, part in enumerate(P.parts)}
+    orbits, seen = [], set()
+    for idx, part in enumerate(P.parts):
+        if idx not in seen:
+            orbit = {index_of[sym3_image(part, g)] for g in SYM3}
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
+@st.composite
+def index_partitions(draw):
+    n = draw(st.integers(3, 7))
+    kind = draw(st.sampled_from(["pairs", "sym3", "multiplier", "both", "fused", "fused"]))
+    if kind == "fused":
+        # parts of a scheme kept, or fused with other Sym(3)-orbits of
+        # parts: (a) and (b) hold, (c) decides
+        P = draw(st.sampled_from(_schemes(max(n, 4))))
+        blocks = []
+        fused: dict = {}
+        for orbit in _part_orbits(P):
+            label = draw(st.integers(-1, 1))
+            for idx in orbit:
+                if label < 0:
+                    blocks.append(set(P.parts[idx].pairs()))
+                else:
+                    fused.setdefault(label, set()).update(P.parts[idx].pairs())
+        parts = blocks + list(fused.values())
+        return IndexPartition(P.n, tuple(PairSet.from_pairs(P.n, part) for part in parts))
+    blocks = _blocks(n, kind)
+    labels = draw(st.integers(1, len(blocks)))
+    merged: dict = {}
+    for block in blocks:
+        merged.setdefault(draw(st.integers(0, labels - 1)), set()).update(block)
+    return IndexPartition(n, tuple(PairSet.from_pairs(n, part) for part in merged.values()))
+
+
+def _agrees_with_brute_force(P):
+    """Compare is_ast_regular with the brute-force k^4 loop; returns the
+    verdict ("ok" or the failing condition)."""
+    report = is_ast_regular(P)
+    expected = oracles.brute_ast_regular(P.n, [part.pairs() for part in P.parts])
+    if expected[0] == "ok":
+        assert report.ok
+        assert report.constants == expected[1]
+        assert list(report.constants) == list(expected[1])
+        return "ok"
+    assert not report.ok
+    assert report.failure["condition"] == expected[0]
+    if expected[0] in ("a", "b"):
+        assert report.failure["part"] == expected[1]
+        return expected[0]
+    _, quadruple, (_, pair_a, count_a, pair_b, count_b) = expected
+    assert report.failure["quadruple"] == list(quadruple)
+    assert report.failure["witness"] == {
+        "pair_a": list(pair_a),
+        "count_a": count_a,
+        "pair_b": list(pair_b),
+        "count_b": count_b,
+    }
+    return "c"
+
+
+@PROPERTY
+@given(index_partitions())
+def test_is_ast_regular_matches_brute_force(P):
+    _agrees_with_brute_force(P)
+
+
+def test_is_ast_regular_matches_brute_force_on_every_orbit_union():
+    """Every union of orbit blocks at n = 5, 7: at these n only a handful of
+    partitions get past (a) and (b) and then fail (c), and these are all of
+    them in the families above."""
+    verdicts = collections.Counter()
+    for n in (5, 7):
+        for kind in ("sym3", "multiplier", "both"):
+            blocks = _blocks(n, kind)
+            for groups in multiset_partitions(list(range(len(blocks)))):
+                parts = [set().union(*(blocks[i] for i in group)) for group in groups]
+                P = IndexPartition(n, tuple(PairSet.from_pairs(n, part) for part in parts))
+                verdicts[_agrees_with_brute_force(P)] += 1
+    assert set(verdicts) == {"ok", "a", "b", "c"}
+    assert verdicts["c"] >= 5
+
+
+def test_least_failing_quadruple_may_sit_in_a_later_part():
+    """The orbits of X(13) under the index maps and the unit multipliers:
+    counts vary over part 0 from (0,1,1,0) on, and the least failing
+    quadruple (0,0,1,1) lies in part 1."""
+    P = IndexPartition(13, tuple(PairSet.from_pairs(13, b) for b in _blocks(13, "both")))
+    I, J, K, L = P.parts[0], P.parts[1], P.parts[1], P.parts[0]
+    assert isinstance(circulant_structure_constant(I, J, K, L), NonConstant)
+    assert _agrees_with_brute_force(P) == "c"
+    assert is_ast_regular(P).failure["quadruple"] == [0, 0, 1, 1]
+
+
+# --- verify_a2 on edited orbit schemes -------------------------------------------
+
+
+def _replace(A, changed):
+    rels = list(A.relations)
+    for rid, triples in changed.items():
+        rels[rid] = TernaryRelation(A.n, frozenset(triples))
+    return TriplePartition(A.n, tuple(rels))
+
+
+def _moved(draw, A):
+    """Triples moved between relations: breaks A1 (and A2) as a rule."""
+    for _ in range(draw(st.integers(1, 3))):
+        src = draw(st.integers(0, A.m))
+        if len(A.relations[src]) < 2:
+            continue
+        dst = draw(st.integers(0, A.m).filter(lambda rid: rid != src))
+        t = draw(st.sampled_from(A.relations[src].sorted_triples()))
+        A = _replace(
+            A, {src: A.relations[src].triples - {t}, dst: A.relations[dst].triples | {t}}
+        )
+    return A
+
+
+def _swapped(draw, A):
+    """Third points of (x, y, .) swapped between two nontrivial relations:
+    every completion count stays, A3 fails."""
+    i, j = draw(st.permutations(range(4, A.m + 1)))[:2]
+    t = draw(st.sampled_from(A.relations[i].sorted_triples()))
+    u = next(s for s in A.relations[j].sorted_triples() if s[:2] == t[:2])
+    return _replace(
+        A, {i: A.relations[i].triples - {t} | {u}, j: A.relations[j].triples - {u} | {t}}
+    )
+
+
+def _fused(draw, A):
+    """Nontrivial relations merged along their Sym(3)-orbits: a circulant
+    scheme candidate that keeps A1 and A3 and may break A2."""
+    orbits, seen = [], set()
+    lookup = {rel.triples: rid for rid, rel in enumerate(A.relations)}
+    for rid in range(4, A.m + 1):
+        if rid not in seen:
+            orbit = {
+                lookup[frozenset(permute_triple(t, g) for t in A.relations[rid].triples)]
+                for g in SYM3
+            }
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(orbits), max_size=len(orbits)))
+    merged: dict = {}
+    for label, orbit in zip(labels, orbits):
+        for rid in orbit:
+            merged.setdefault(label, set()).update(A.relations[rid].triples)
+    return TriplePartition(
+        A.n, tuple(A.relations[:4]) + tuple(TernaryRelation(A.n, merged[k]) for k in sorted(merged))
+    )
+
+
+@st.composite
+def edited_schemes(draw):
+    A = orbit_partition_on_triples(agl1(draw(st.sampled_from([5, 7]))))
+    edit = draw(st.sampled_from(["none", "moved", "swapped", "fused"]))
+    if edit == "moved":
+        A = _moved(draw, A)
+    elif edit == "swapped":
+        A = _swapped(draw, A)
+    elif edit == "fused":
+        A = _fused(draw, A)
+    return A
+
+
+@PROPERTY
+@given(edited_schemes())
+def test_verify_a2_matches_reference_scan(A):
+    assert verify_a2(A) == oracles.reference_verify_a2(A)
+
+
+def test_verify_a2_raises_on_a_missing_triple():
+    """A triple outside every relation is an error, never relation 0."""
+    P = oracles.multiplicative_orbit_partition(5)
+    trivial = trivial_relations(make_domain(5))
+    A = TriplePartition(5, trivial + tuple(expand(part) for part in P.parts[:-1]))
+    with pytest.raises(KeyError):
+        verify_a2(A)

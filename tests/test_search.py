@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import circast.search as search_module
 import oracles
 from circast import (
     SYM3,
@@ -173,3 +174,22 @@ def test_config_validation():
         SearchConfig(2)
     with pytest.raises(ValueError):
         SearchConfig(5, dedupe="frobnicate")
+    for bad in ({"limit": -1}, {"max_nI": 0}, {"time_budget": 0}, {"time_budget": float("nan")}):
+        with pytest.raises(ValueError):
+            SearchConfig(5, **bad)
+    assert SearchConfig(5, limit=0, max_nI=1, time_budget=0.5).limit == 0
+    with pytest.raises(ValueError):
+        search_ast_regular(SearchConfig(5), jobs=0)
+
+
+def test_each_hit_is_checked_once_at_index_level(monkeypatch):
+    calls = []
+
+    def counting(P):
+        calls.append(P)
+        return is_ast_regular(P)
+
+    monkeypatch.setattr(search_module, "is_ast_regular", counting)
+    result = search_ast_regular(SearchConfig(5))
+    assert len(calls) == len(result.hits) == 2
+    assert set(calls) == {hit.partition for hit in result.hits}
