@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Union
 
-from .circulant import SYM3, SYM3_NAME, EmptyIndexSet, permute_triple, sym3_image
+from .circulant import SYM3, SYM3_NAME, EmptyIndexSet, permute_relation, sym3_image
 from .core import CircastError, PairSet, TriplePartition, make_domain, trivial_relations
 
 
@@ -172,8 +172,7 @@ def verify_a3(A: TriplePartition) -> Union[dict, AxiomFailure]:
     action = {}
     for rid, rel in enumerate(A.relations):
         for g in SYM3:
-            image = frozenset(permute_triple(t, g) for t in rel.triples)
-            target = lookup.get(image)
+            target = lookup.get(permute_relation(rel, g).triples)
             if target is None:
                 return AxiomFailure("A3", {"relation": rid, "element": SYM3_NAME[g]})
             action[(rid, g)] = target

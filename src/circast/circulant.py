@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
@@ -34,6 +35,8 @@ from .core import (
     TriplePartition,
     iter_bits,
     make_domain,
+    pair_rank,
+    pair_unrank,
     trivial_relations,
 )
 
@@ -139,9 +142,28 @@ def pair_image(n: int, pair: Pair, g: Sym3Element) -> Pair:
     raise ValueError(f"{g!r} is not a Sym(3) element")
 
 
+@lru_cache(maxsize=None)
+def sym3_rank_maps(n: int) -> dict:
+    """The six index maps as permutations of the pair ranks of X(n): entry r
+    of the list for g is the rank of the image of pair r. Built once per n
+    from :func:`pair_image`."""
+    pairs = PairSet.universe(n).pairs()
+    return {g: [pair_rank(n, pair_image(n, p, g)) for p in pairs] for g in SYM3}
+
+
+def permute_mask(mask: int, perm: list) -> int:
+    """The mask whose bit perm[r] is set for every set bit r of mask."""
+    out = 0
+    for r in iter_bits(mask):
+        out |= 1 << perm[r]
+    return out
+
+
 def sym3_image(I: PairSet, g: Sym3Element) -> PairSet:
     """Image of an index set under the map realising g; again a subset of X."""
-    return PairSet.from_pairs(I.n, (pair_image(I.n, p, g) for p in I))
+    if g not in SYM3:
+        raise ValueError(f"{g!r} is not a Sym(3) element")
+    return PairSet(I.n, permute_mask(I.mask, sym3_rank_maps(I.n)[g]))
 
 
 # --- expansion and extraction ------------------------------------------------
@@ -318,20 +340,23 @@ class ASTRegularityReport:
         }
 
 
-def _pair_bins(P: IndexPartition) -> list:
-    """For each pair (y,z) of X(n), in rank order, the counts of the bins
-    (part(y-w, z-w), part(w,z), part(y,w)) over w in Omega.
+def pair_bins(n: int, masks) -> list:
+    """For each part d, given as a mask over the pair ranks of X(n): the bin
+    counts of its least pair and the set of bins (a,b,c) whose count varies
+    over the part.
 
-    Bin (a,b,c) of a pair in part d counts the w outside {0,y,z} that meet
-    p^d_{abc}. The three w in {0,y,z} land in the bins (d,-1,-1), (-1,d,-1)
-    and (-1,-1,d), where -1 marks a pair outside X(n): the same three for
-    every pair of part d, so they never tell two pairs of a part apart. That
-    lets each of the three columns over w be a slice of a precomputed table.
+    Pair (y,z) is binned by (part(y-w, z-w), part(w,z), part(y,w)) over w in
+    Omega, so bin (a,b,c) of a pair in part d counts the w outside {0,y,z}
+    that meet p^d_{abc}. The label -1 marks a pair in no mask: a pair outside
+    X(n), or one no part holds yet (the rest, when the masks do not cover
+    X(n)). Bins naming -1 are never reported as varying. Among them are the
+    bins (d,-1,-1), (-1,d,-1) and (-1,-1,d) of the three w in {0,y,z}, so each
+    of the three columns over w can be a slice of a precomputed table.
     """
-    n = P.n
     part = [[-1] * n for _ in range(n)]
-    for idx, I in enumerate(P.parts):
-        for (i, j) in I:
+    for idx, mask in enumerate(masks):
+        for r in iter_bits(mask):
+            i, j = pair_unrank(n, r)
             part[i][j] = idx
     column = [[part[w][z] for w in range(n)] for z in range(n)]
     # turned[d][n-1-y : 2n-1-y] lists part(y-w, y-w+d) for w = 0..n-1
@@ -339,23 +364,35 @@ def _pair_bins(P: IndexPartition) -> list:
     for d in range(n):
         back = [part[u][(u + d) % n] for u in range(n - 1, -1, -1)]
         turned.append(back + back)
-    bins = []
-    for y in range(1, n):
-        row = part[y]
+
+    def bins(r: int) -> Counter:
+        y, z = pair_unrank(n, r)
         start = n - 1 - y
-        for z in range(1, n):
-            if z != y:
-                diagonal = turned[(z - y) % n][start : start + n]
-                bins.append(Counter(zip(diagonal, column[z], row)))
-    return bins
+        return Counter(zip(turned[(z - y) % n][start : start + n], column[z], part[y]))
+
+    out = []
+    for mask in masks:
+        ranks = iter_bits(mask)
+        ref = bins(next(ranks))
+        varying = set()
+        for r in ranks:
+            other = bins(r)
+            if not dict.__eq__(other, ref):  # Counter's == runs in Python
+                varying.update(
+                    key
+                    for key in ref.keys() | other.keys()
+                    if ref[key] != other[key] and -1 not in key
+                )
+        out.append((ref, varying))
+    return out
 
 
 def is_ast_regular(P: IndexPartition) -> ASTRegularityReport:
     """Test conditions (a) regularity, (b) Sym(3)-invariance, (c) constant
     intersection numbers, in that order, stopping at the first failure.
 
-    (c) bins every pair of X(n) once (:func:`_pair_bins`): p^L_{IJK} is
-    constant iff every pair of L has the bin counts of the first pair of L.
+    (c) bins every pair of X(n) once (:func:`pair_bins`): p^L_{IJK} is
+    constant iff every pair of L has the bin counts of the least pair of L.
     On a failure the least quadruple (a,b,c,d) whose bin (a,b,c) differs
     within part d is reported, with the witness of
     :func:`circulant_structure_constant` on that quadruple.
@@ -384,20 +421,8 @@ def is_ast_regular(P: IndexPartition) -> ASTRegularityReport:
                 )
             action[(idx, g)] = target
     # (c): every part has one bin count vector
-    bins = _pair_bins(P)
-    reference = []
-    failing = []  # per varying part d, its least quadruple (a,b,c,d)
-    for d, L in enumerate(P.parts):
-        ranks = iter_bits(L.mask)
-        ref = bins[next(ranks)]
-        varying = set()
-        for r in ranks:
-            other = bins[r]
-            if not dict.__eq__(other, ref):  # Counter's == runs in Python
-                varying.update(key for key in ref.keys() | other.keys() if ref[key] != other[key])
-        if varying:
-            failing.append(min(varying) + (d,))
-        reference.append(ref)
+    bins = pair_bins(P.n, [part.mask for part in P.parts])
+    failing = [min(varying) + (d,) for d, (_, varying) in enumerate(bins) if varying]
     if failing:
         least = min(failing)
         res = circulant_structure_constant(*(P.parts[q] for q in least))
@@ -409,7 +434,7 @@ def is_ast_regular(P: IndexPartition) -> ASTRegularityReport:
         )
     k = len(P.parts)
     constants = {
-        (a, b, c, d): reference[d].get((a, b, c), 0) for (a, b, c, d) in product(range(k), repeat=4)
+        (a, b, c, d): bins[d][0].get((a, b, c), 0) for (a, b, c, d) in product(range(k), repeat=4)
     }
     return ASTRegularityReport(True, part_stats, action, constants, None)
 

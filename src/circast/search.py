@@ -4,15 +4,21 @@ The tree covers X(n) orbit by orbit: at each node the least uncovered pair is
 fixed, every regular candidate part through it is closed under the six index
 maps, and the closure is placed when its members are regular and pairwise
 disjoint (closure forces the Sym(3)-invariance condition long before leaves).
-Intersection-number constancy is checked incrementally, for each quadruple of
-parts as soon as all four are fixed. Every leaf is re-verified from scratch
-through the public regularity test and the axiom checker before it is
+Intersection-number constancy is checked at each node by the kernel of
+`is_ast_regular` (`circulant.pair_bins`) over the placed parts, with the
+uncovered pairs as one rest label: a placed orbit is kept only while every
+quadruple of placed parts has a constant count. Every leaf is re-verified from
+scratch through the public regularity test and the axiom checker before it is
 reported, so the output is sound by certification rather than by trust in the
 pruning.
 
-Worker processes, when requested, each take one root branch; results are
-merged and sorted canonically, so the report is identical for any worker
-count.
+The time budget is polled before each candidate part is tried, the root
+listing included; once it has passed the search unwinds and reports what it
+found with the completeness flag cleared.
+
+Each root branch runs as one task, in this process or, when requested, in
+worker processes; results are merged and sorted canonically, so the report is
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +32,14 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .astcheck import verify_ast
-from .circulant import SYM3, ASTRegularityReport, expand_partition, is_ast_regular, pair_image
+from .circulant import (
+    ASTRegularityReport,
+    expand_partition,
+    is_ast_regular,
+    pair_bins,
+    permute_mask,
+    sym3_rank_maps,
+)
 from .core import (
     IndexPartition,
     Pair,
@@ -106,32 +119,16 @@ class SearchResult:
 
 
 class _Universe:
-    """Per-n lookup tables: rank <-> pair, row memberships, and the six index
-    maps as permutations of the ranks."""
+    """Per-n lookup tables: rank -> pair and row memberships."""
 
     def __init__(self, n: int):
         self.n = n
         cap = pair_capacity(n)
-        self.capacity = cap
         self.full = (1 << cap) - 1
         self.pair_of = [pair_unrank(n, r) for r in range(cap)]
-        self.rank2 = [[-1] * n for _ in range(n)]
-        for r, (i, j) in enumerate(self.pair_of):
-            self.rank2[i][j] = r
         self.row_ranks = [
             [r for r in range(cap) if self.pair_of[r][0] == i] for i in range(n)
         ]
-        self.sym3_perm = {
-            g: [self.rank2[a][b] for (a, b) in (pair_image(n, p, g) for p in self.pair_of)]
-            for g in SYM3
-        }
-
-    def image_mask(self, mask: int, g) -> int:
-        perm = self.sym3_perm[g]
-        out = 0
-        for r in iter_bits(mask):
-            out |= 1 << perm[r]
-        return out
 
     def valency(self, mask: int) -> Optional[int]:
         """The constant row/column count if the mask is regular, else None."""
@@ -215,21 +212,25 @@ def enumerate_candidate_parts(n: int, containing: Pair, max_nI: Optional[int] = 
 class _Search:
     def __init__(self, n: int, max_r: int, symmetric_only: bool, deadline: Optional[float]):
         self.uni = _universe(n)
+        self.perms = tuple(sym3_rank_maps(n).values())
         self.max_r = max_r
         self.symmetric_only = symmetric_only
         self.deadline = deadline
         self.found: list = []
         self.nodes = 0
         self.complete = True
-        self._const_cache: dict = {}
 
     def branches(self, covered: int) -> Iterator[tuple]:
-        """Valid part orbits through the least uncovered pair."""
+        """Valid part orbits through the least uncovered pair; stops, with
+        `complete` cleared, at the first candidate after the deadline."""
         uni = self.uni
         allowed = uni.full & ~covered
         target = (allowed & -allowed).bit_length() - 1
         for r in range(1, self.max_r + 1):
             for mask in uni.regular_subsets(r, allowed, target):
+                if self.deadline is not None and time.monotonic() > self.deadline:
+                    self.complete = False
+                    return
                 orbit = self._orbit(mask)
                 if orbit is None:
                     continue
@@ -240,64 +241,22 @@ class _Search:
     def _orbit(self, mask: int) -> Optional[tuple]:
         """The distinct images of the mask under the six maps, provided they
         are pairwise disjoint and all regular; None otherwise."""
-        uni = self.uni
-        images = sorted({uni.image_mask(mask, g) for g in SYM3})
+        images = sorted({permute_mask(mask, perm) for perm in self.perms})
         union = 0
         for m in images:
             if m & union:
                 return None
             union |= m
-            if m != mask and uni.valency(m) is None:
+            if m != mask and self.uni.valency(m) is None:
                 return None
         return tuple(images)
 
-    def _constant(self, I: int, J: int, K: int, L: int) -> bool:
-        """Mask-level constancy test of the intersection count over L."""
-        key = (I, J, K, L)
-        cached = self._const_cache.get(key)
-        if cached is not None:
-            return cached
-        uni = self.uni
-        n = uni.n
-        rank2 = uni.rank2
-        first = -1
-        ok = True
-        for rank in iter_bits(L):
-            y, z = uni.pair_of[rank]
-            c = 0
-            for w in range(1, n):
-                if w == y or w == z:
-                    continue
-                if (
-                    (I >> rank2[(y - w) % n][(z - w) % n]) & 1
-                    and (J >> rank2[w][z]) & 1
-                    and (K >> rank2[y][w]) & 1
-                ):
-                    c += 1
-            if first < 0:
-                first = c
-            elif c != first:
-                ok = False
-                break
-        self._const_cache[key] = ok
-        return ok
-
     def place(self, parts: tuple, covered: int, orbit: tuple) -> None:
-        """Add one orbit of parts if every newly completed quadruple of parts
-        has a constant intersection count, then keep exploring."""
+        """Add one orbit of parts if every quadruple of placed parts has a
+        constant intersection count, then keep exploring."""
         new_parts = parts + orbit
-        old = len(parts)
-        new = len(new_parts)
-        for a in range(new):
-            for b in range(new):
-                for c in range(new):
-                    for d in range(new):
-                        if a < old and b < old and c < old and d < old:
-                            continue
-                        if not self._constant(
-                            new_parts[a], new_parts[b], new_parts[c], new_parts[d]
-                        ):
-                            return
+        if any(varying for _, varying in pair_bins(self.uni.n, new_parts)):
+            return
         self.nodes += 1
         union = 0
         for m in orbit:
@@ -305,9 +264,6 @@ class _Search:
         self.explore(new_parts, covered | union)
 
     def explore(self, parts: tuple, covered: int) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.complete = False
-            return
         if covered == self.uni.full:
             self.found.append(parts)
             return
@@ -341,24 +297,20 @@ def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
         max_r = min(max_r, 1)
     deadline = start + config.time_budget if config.time_budget is not None else None
 
-    engine = _Search(n, max_r, config.require_symmetric, deadline)
-    root_branches = list(engine.branches(0))
-    if jobs > 1 and len(root_branches) > 1:
-        tasks = [
-            (n, max_r, config.require_symmetric, deadline, orbit) for orbit in root_branches
-        ]
-        found: list = []
-        nodes = 0
-        complete = True
+    root = _Search(n, max_r, config.require_symmetric, deadline)
+    tasks = [(n, max_r, config.require_symmetric, deadline, orbit) for orbit in root.branches(0)]
+    if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for branch_found, branch_nodes, branch_complete in pool.map(_branch_worker, tasks):
-                found.extend(branch_found)
-                nodes += branch_nodes
-                complete &= branch_complete
+            branches = list(pool.map(_branch_worker, tasks))
     else:
-        for orbit in root_branches:
-            engine.place((), 0, orbit)
-        found, nodes, complete = engine.found, engine.nodes, engine.complete
+        branches = map(_branch_worker, tasks)
+    found: list = []
+    nodes = 0
+    complete = root.complete
+    for branch_found, branch_nodes, branch_complete in branches:
+        found.extend(branch_found)
+        nodes += branch_nodes
+        complete &= branch_complete
 
     hits = []
     for masks in found:

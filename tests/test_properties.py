@@ -1,13 +1,17 @@
-"""Property tests: the binning kernels against the brute-force references.
+"""Property tests: the binning kernels and the Sym(3) rank table against
+the brute-force references.
 
-`is_ast_regular` bins every pair of X(n) once and `verify_a2` counts each
-triple's w-column with one Counter; both must agree, verdict and witness, with
-the plain loops in `oracles.py`.
+`is_ast_regular` and the search's node check bin every pair of X(n) once,
+`verify_a2` counts each triple's w-column with one Counter, and `sym3_image`
+permutes mask bits through a per-n rank table; all must agree, verdict and
+witness, with the plain loops in `oracles.py` and with `pair_image` applied
+pair by pair.
 """
 
 import collections
 import math
 from functools import lru_cache
+from itertools import product
 
 import oracles
 import pytest
@@ -36,6 +40,7 @@ from circast import (
     trivial_relations,
     verify_a2,
 )
+from circast.circulant import pair_bins
 
 PROPERTY = settings(
     max_examples=150,
@@ -189,6 +194,49 @@ def test_least_failing_quadruple_may_sit_in_a_later_part():
     assert isinstance(circulant_structure_constant(I, J, K, L), NonConstant)
     assert _agrees_with_brute_force(P) == "c"
     assert is_ast_regular(P).failure["quadruple"] == [0, 0, 1, 1]
+
+
+# --- the search's node check on placed parts ----------------------------------------
+
+
+@PROPERTY
+@given(index_partitions(), st.data())
+def test_node_check_matches_brute_force_on_placed_parts(P, data):
+    """Some parts of a partition are placed, in any order, and the other
+    pairs are the rest: a bin varies over a placed part exactly when its
+    quadruple of placed parts has no constant count, and the least pair's
+    count is the brute-force one."""
+    order = data.draw(st.permutations(range(len(P.parts))))
+    placed = [P.parts[idx] for idx in order[: data.draw(st.integers(0, 5))]]
+    bins = pair_bins(P.n, [part.mask for part in placed])
+    k = len(placed)
+    assert len(bins) == k
+    for d, (ref, varying) in enumerate(bins):
+        expected = set()
+        for a, b, c in product(range(k), repeat=3):
+            res = oracles.brute_structure_constant(P.n, *(placed[q].pairs() for q in (a, b, c, d)))
+            if res[0] == "varies":
+                expected.add((a, b, c))
+                assert ref[(a, b, c)] == res[2]
+            else:
+                assert ref[(a, b, c)] == res[1]
+        assert varying == expected
+
+
+# --- the Sym(3) rank table ---------------------------------------------------------
+
+
+@PROPERTY
+@given(st.data())
+def test_sym3_image_matches_pair_by_pair_images(data):
+    n = data.draw(st.integers(3, 9))
+    I = PairSet(n, data.draw(st.integers(0, PairSet.universe(n).mask)))
+    for g in SYM3:
+        assert sym3_image(I, g) == PairSet.from_pairs(n, (pair_image(n, p, g) for p in I))
+    for bad in ((1, 1, 2), (0, 1, 2), [1, 2, 3], "e", None):
+        for J in (I, PairSet(n)):
+            with pytest.raises(ValueError):
+                sym3_image(J, bad)
 
 
 # --- verify_a2 on edited orbit schemes -------------------------------------------

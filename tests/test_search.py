@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -157,6 +158,15 @@ def test_dedupe_multiplier():
 
 def test_time_budget_reports_incomplete():
     result = search_ast_regular(SearchConfig(6, time_budget=1e-9))
+    assert not result.complete
+
+
+def test_time_budget_is_a_bound():
+    """At n = 8 the root candidates alone take far longer than the budget;
+    listing them polls the deadline."""
+    start = time.monotonic()
+    result = search_ast_regular(SearchConfig(8, time_budget=1.0))
+    assert time.monotonic() - start < 2.0
     assert not result.complete
 
 
