@@ -72,6 +72,18 @@ def _emit(args, obj, out_path: str | None = None) -> None:
         print(text)
 
 
+def _n_at_most(cap: int):
+    """An argparse type for --n that refuses n above the command's cap, before
+    anything of size n is built."""
+
+    def parse(text: str) -> int:
+        if int(text) > cap:
+            raise argparse.ArgumentTypeError(f"n = {text} is above this command's cap of {cap}")
+        return int(text)
+
+    return parse
+
+
 def _parse_seconds(text: str) -> float:
     return float(text[:-1] if text.endswith("s") else text)
 
@@ -267,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("table", "json"), default="table")
 
+    # X(n) has (n-1)(n-2) pairs; at the caps gen-x peaks near 40 MB, search near 25 MB
     p = sub.add_parser("gen-x", help="emit the pair universe X(n)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_n_at_most(256), required=True)
     common(p)
     p.set_defaults(func=cmd_gen_x)
 
@@ -312,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("search", help="enumerate AST-regular partitions of X(n)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_n_at_most(100), required=True)
     p.add_argument("--max-ni", dest="max_ni", type=int, default=None)
     p.add_argument("--all-thin", dest="all_thin", action="store_true")
     p.add_argument("--symmetric", action="store_true")

@@ -1,9 +1,11 @@
 """Exhaustive search for AST-regular partitions of the pair universe.
 
 The tree covers X(n) orbit by orbit: at each node the least uncovered pair is
-fixed, every regular candidate part through it is closed under the six index
-maps, and the closure is placed when its members are regular and pairwise
-disjoint (closure forces the Sym(3)-invariance condition long before leaves).
+fixed, and the regular parts through it are listed row by row with their six
+index-map images. A row prefix is dropped once an image meets it and a finished
+row outside it: the part could then be neither fixed by that map nor disjoint
+from its image. A listed part's orbit is placed when its members are regular
+and pairwise disjoint.
 Intersection-number constancy is checked at each node by the kernel of
 `is_ast_regular` (`circulant.pair_bins`) over the placed parts, with the
 uncovered pairs as one rest label: a placed orbit is kept only while every
@@ -12,7 +14,7 @@ scratch through the public regularity test and the axiom checker before it is
 reported, so the output is sound by certification rather than by trust in the
 pruning.
 
-The time budget is polled before each candidate part is tried, the root
+The time budget is polled at every step of the candidate listing, the root
 listing included; once it has passed the search unwinds and reports what it
 found with the completeness flag cleared.
 
@@ -33,11 +35,12 @@ from typing import Iterator, Optional
 
 from .astcheck import verify_ast
 from .circulant import (
+    IDENTITY,
+    SYM3,
     ASTRegularityReport,
     expand_partition,
     is_ast_regular,
     pair_bins,
-    permute_mask,
     sym3_rank_maps,
 )
 from .core import (
@@ -119,16 +122,17 @@ class SearchResult:
 
 
 class _Universe:
-    """Per-n lookup tables: rank -> pair and row memberships."""
+    """Per-n lookup tables: rank -> pair, the ranks of each row, and the
+    ranks of the five non-identity index-map images of each pair."""
 
     def __init__(self, n: int):
         self.n = n
         cap = pair_capacity(n)
         self.full = (1 << cap) - 1
         self.pair_of = [pair_unrank(n, r) for r in range(cap)]
-        self.row_ranks = [
-            [r for r in range(cap) if self.pair_of[r][0] == i] for i in range(n)
-        ]
+        self.row_ranks = [range((i - 1) * (n - 2), i * (n - 2)) for i in range(1, n)]
+        maps = sym3_rank_maps(n)
+        self.images = list(zip(*(maps[g] for g in SYM3 if g != IDENTITY)))
 
     def valency(self, mask: int) -> Optional[int]:
         """The constant row/column count if the mask is regular, else None."""
@@ -147,9 +151,15 @@ class _Universe:
                 return None
         return r
 
-    def regular_subsets(self, r: int, allowed: int, forced_rank: Optional[int] = None) -> Iterator[int]:
-        """Masks of r-regular subsets of `allowed`, rows filled in order with
-        lexicographic column choices; optionally through one forced pair."""
+    def regular_subsets(self, r: int, allowed: int, forced_rank: Optional[int] = None,
+                        closed: bool = False, deadline: Optional[float] = None) -> Iterator[tuple]:
+        """Pairs (mask, images) for the r-regular subsets of `allowed`, rows
+        filled in order with lexicographic column choices; optionally through
+        one forced pair. With `closed`, images holds the mask's five
+        non-identity index-map images, and a row prefix P is dropped as soon
+        as some image g(P) meets P and also a finished row outside P: the part
+        would have to be fixed by g and cannot be. Without it, images is ().
+        Raises TimeoutError once the deadline has passed."""
         n = self.n
         forced_row = forced_col = None
         if forced_rank is not None:
@@ -157,10 +167,10 @@ class _Universe:
                 return
             forced_row, forced_col = self.pair_of[forced_rank]
         rows = []
-        for i in range(1, n):
+        for ranks in self.row_ranks:
             opts = [
-                (self.pair_of[rank][1], 1 << rank)
-                for rank in self.row_ranks[i]
+                (self.pair_of[rank][1], rank, self.images[rank] if closed else ())
+                for rank in ranks
                 if (allowed >> rank) & 1
             ]
             if len(opts) < r:
@@ -168,26 +178,34 @@ class _Universe:
             rows.append(opts)
         need = [r] * n
 
-        def rec(idx: int, mask: int) -> Iterator[int]:
+        def rec(idx: int, mask: int, images: tuple) -> Iterator[tuple]:
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError
             if idx == n - 1:
-                yield mask
+                yield mask, images
                 return
-            opts = [(c, b) for (c, b) in rows[idx] if need[c] > 0]
+            opts = [opt for opt in rows[idx] if need[opt[0]] > 0]
             rows_left = n - 2 - idx
             here_forced = idx + 1 == forced_row
+            finished = (1 << self.row_ranks[idx].stop) - 1
             for combo in combinations(opts, r):
-                if here_forced and all(c != forced_col for c, _ in combo):
+                if here_forced and all(c != forced_col for c, _, _ in combo):
                     continue
                 new_mask = mask
-                for c, b in combo:
+                new_images = images
+                for c, rank, image_ranks in combo:
                     need[c] -= 1
-                    new_mask |= b
-                if all(need[x] <= rows_left for x in range(1, n)):
-                    yield from rec(idx + 1, new_mask)
-                for c, _ in combo:
+                    new_mask |= 1 << rank
+                    new_images = tuple(m | 1 << q for m, q in zip(new_images, image_ranks))
+                outside = finished & ~new_mask
+                if all(need[x] <= rows_left for x in range(1, n)) and not any(
+                    m & new_mask and m & outside for m in new_images
+                ):
+                    yield from rec(idx + 1, new_mask, new_images)
+                for c, _, _ in combo:
                     need[c] += 1
 
-        yield from rec(0, 0)
+        yield from rec(0, 0, (0,) * 5 if closed else ())
 
 
 @lru_cache(maxsize=None)
@@ -205,14 +223,13 @@ def enumerate_candidate_parts(n: int, containing: Pair, max_nI: Optional[int] = 
     cap = n - 2 if max_nI is None else min(max_nI, n - 2)
     forced = pair_rank(n, containing)
     for r in range(1, cap + 1):
-        for mask in uni.regular_subsets(r, uni.full, forced):
+        for mask, _ in uni.regular_subsets(r, uni.full, forced):
             yield PairSet(n, mask)
 
 
 class _Search:
     def __init__(self, n: int, max_r: int, symmetric_only: bool, deadline: Optional[float]):
         self.uni = _universe(n)
-        self.perms = tuple(sym3_rank_maps(n).values())
         self.max_r = max_r
         self.symmetric_only = symmetric_only
         self.deadline = deadline
@@ -222,34 +239,34 @@ class _Search:
 
     def branches(self, covered: int) -> Iterator[tuple]:
         """Valid part orbits through the least uncovered pair; stops, with
-        `complete` cleared, at the first candidate after the deadline."""
+        `complete` cleared, once the listing finds the deadline passed."""
         uni = self.uni
         allowed = uni.full & ~covered
         target = (allowed & -allowed).bit_length() - 1
-        for r in range(1, self.max_r + 1):
-            for mask in uni.regular_subsets(r, allowed, target):
-                if self.deadline is not None and time.monotonic() > self.deadline:
-                    self.complete = False
-                    return
-                orbit = self._orbit(mask)
-                if orbit is None:
-                    continue
-                if self.symmetric_only and len(orbit) > 1:
-                    continue
-                yield orbit
+        try:
+            for r in range(1, self.max_r + 1):
+                for mask, images in uni.regular_subsets(r, allowed, target, True, self.deadline):
+                    orbit = self._orbit(mask, images)
+                    if orbit is None:
+                        continue
+                    if self.symmetric_only and len(orbit) > 1:
+                        continue
+                    yield orbit
+        except TimeoutError:
+            self.complete = False
 
-    def _orbit(self, mask: int) -> Optional[tuple]:
-        """The distinct images of the mask under the six maps, provided they
+    def _orbit(self, mask: int, images: tuple) -> Optional[tuple]:
+        """The distinct parts among the mask and its images, provided they
         are pairwise disjoint and all regular; None otherwise."""
-        images = sorted({permute_mask(mask, perm) for perm in self.perms})
+        orbit = sorted({mask, *images})
         union = 0
-        for m in images:
+        for m in orbit:
             if m & union:
                 return None
             union |= m
             if m != mask and self.uni.valency(m) is None:
                 return None
-        return tuple(images)
+        return tuple(orbit)
 
     def place(self, parts: tuple, covered: int, orbit: tuple) -> None:
         """Add one orbit of parts if every quadruple of placed parts has a

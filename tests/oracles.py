@@ -6,9 +6,19 @@ the bitmask representation and the code paths under test.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from sympy.utilities.iterables import multiset_partitions
 
-from circast import AxiomFailure, IndexPartition, PairSet, StructureTensor, is_ast_regular
+from circast import (
+    SYM3,
+    AxiomFailure,
+    IndexPartition,
+    PairSet,
+    StructureTensor,
+    is_ast_regular,
+    pair_image,
+)
 
 
 def brute_structure_constant(n, I, J, K, L):
@@ -84,6 +94,66 @@ def all_index_partitions(n):
 def naive_ast_regular_partitions(n):
     """Brute-force ground truth for the search: filter all partitions."""
     return [P for P in all_index_partitions(n) if is_ast_regular(P).ok]
+
+
+def regular_subsets(n, r, allowed, forced=None):
+    """The r-regular subsets of the pair set `allowed` through the pair
+    `forced` (if given), as sorted pair lists in the order the search lists
+    them: rows filled in order, each row's r columns chosen in lexicographic
+    order, a prefix dropped once some column needs more pairs than rows are
+    left. The index maps play no part."""
+    allowed = set(allowed)
+    if forced is not None and forced not in allowed:
+        return
+    rows = {i: [j for j in range(1, n) if (i, j) in allowed] for i in range(1, n)}
+    if any(len(row) < r for row in rows.values()):
+        return
+    need = [r] * n
+
+    def rec(i, chosen):
+        if i == n:
+            yield chosen
+            return
+        for cols in combinations([j for j in rows[i] if need[j] > 0], r):
+            if forced is not None and forced[0] == i and forced[1] not in cols:
+                continue
+            for j in cols:
+                need[j] -= 1
+            if all(need[x] <= n - 1 - i for x in range(1, n)):
+                yield from rec(i + 1, chosen + [(i, j) for j in cols])
+            for j in cols:
+                need[j] += 1
+
+    yield from rec(1, [])
+
+
+def closed_orbit(n, part):
+    """The distinct images of a part under the six index maps if they are
+    pairwise disjoint and all regular, else None."""
+    images = {frozenset(pair_image(n, p, g) for p in part) for g in SYM3}
+    seen = set()
+    for image in images:
+        rows = [sum(1 for (i, _) in image if i == x) for x in range(1, n)]
+        cols = [sum(1 for (_, j) in image if j == x) for x in range(1, n)]
+        if seen & image or len(set(rows + cols)) != 1:
+            return None
+        seen |= image
+    return images
+
+
+def part_orbits(n, max_r, covered):
+    """The search's branches below a node with the given covered pairs: for
+    r = 1..max_r, the closed orbits of the r-regular parts through the least
+    uncovered pair, every subset listed first and the orbit tested after."""
+    allowed = set(PairSet.universe(n).pairs()) - set(covered)
+    if not allowed:
+        return
+    target = min(allowed)
+    for r in range(1, max_r + 1):
+        for part in regular_subsets(n, r, allowed, target):
+            orbit = closed_orbit(n, part)
+            if orbit is not None:
+                yield orbit
 
 
 def multiplicative_orbit_partition(p):

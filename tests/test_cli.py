@@ -229,6 +229,20 @@ def test_search_rejects_out_of_range_arguments(flags, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, cap", [("gen-x", 256), ("search", 100)])
+def test_n_above_the_cap_is_refused(command, cap, capsys):
+    code, out = run([command, "--n", str(cap + 1)])
+    assert code == 2 and out == ""
+    assert f"above this command's cap of {cap}" in capsys.readouterr().err
+    code, out = run([command, "--n", "100000"])
+    assert code == 2 and out == ""
+
+
+def test_gen_x_at_the_cap():
+    code, obj = run_json(["gen-x", "--n", "256"])
+    assert code == 0 and len(obj["pairs"]) == 255 * 254
+
+
 def _n3_scheme_with_id(bad_id):
     obj = build_ast(IndexPartition(3, (PairSet.universe(3),))).to_obj()
     obj["relations"][1]["id"] = bad_id

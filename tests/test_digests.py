@@ -3,8 +3,7 @@
 `bench/digests.json` holds the sha256 of the stdout of every benchmark job
 whose input is fixed. Each `search:` entry is rerun in-process and must
 reproduce its digest; `nodes` is part of that JSON, so the search tree is
-pinned too. `search --n 8 --max-ni 2` (several seconds) is left to the
-benchmark run.
+pinned too.
 """
 
 import contextlib
@@ -18,13 +17,12 @@ import pytest
 from circast.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SLOW = {"search --n 8 --max-ni 2"}
 
 with open(os.path.join(ROOT, "bench", "digests.json"), encoding="utf-8") as handle:
     SEARCH_DIGESTS = {
         key.removeprefix("search:"): digest
         for key, digest in json.load(handle).items()
-        if key.startswith("search:") and key.removeprefix("search:") not in SLOW
+        if key.startswith("search:")
     }
 
 

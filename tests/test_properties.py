@@ -15,7 +15,7 @@ from itertools import product
 
 import oracles
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sympy.utilities.iterables import multiset_partitions
 
@@ -29,6 +29,7 @@ from circast import (
     TriplePartition,
     agl1,
     circulant_structure_constant,
+    enumerate_candidate_parts,
     expand,
     is_ast_regular,
     make_domain,
@@ -41,6 +42,7 @@ from circast import (
     verify_a2,
 )
 from circast.circulant import pair_bins
+from circast.search import _Search
 
 PROPERTY = settings(
     max_examples=150,
@@ -237,6 +239,89 @@ def test_sym3_image_matches_pair_by_pair_images(data):
         for J in (I, PairSet(n)):
             with pytest.raises(ValueError):
                 sym3_image(J, bad)
+
+
+# --- the search's candidate listing ------------------------------------------------
+
+
+def _reference_branches(n, covered):
+    """The closed orbits of `oracles.part_orbits` as the search yields them:
+    each one a tuple of masks in ascending order."""
+    return [
+        tuple(sorted(PairSet.from_pairs(n, part).mask for part in orbit))
+        for orbit in oracles.part_orbits(n, n - 2, covered)
+    ]
+
+
+# the reference lists every regular subset; at most this many uncovered
+# pairs keeps one example under about 0.05 s
+UNCOVERED_CAP = 24
+
+
+@lru_cache(maxsize=None)
+def _root_orbits(n):
+    """The orbits the search lists at the root of X(n), each as one set of
+    pairs, when it has at most UNCOVERED_CAP pairs."""
+    orbits = [
+        set().union(*(PairSet(n, mask).pairs() for mask in orbit))
+        for orbit in _Search(n, n - 2, False, None).branches(0)
+    ]
+    return [orbit for orbit in orbits if len(orbit) <= UNCOVERED_CAP]
+
+
+@st.composite
+def invariant_covers(draw):
+    """n = 3..9 and a Sym(3)-invariant set of covered pairs, some pair left
+    uncovered: a union of orbits of parts of a search hit or of an AGL(1,p)
+    partition, or of orbits of single pairs, the last optionally around an
+    orbit the search lists at the root (so that something closes below it at
+    n = 9, where no union of pair orbits within the cap does)."""
+    n = draw(st.integers(3, 9))
+    kind = draw(st.sampled_from(["hit", "agl", "root", "pairs"]))
+    uncovered = set()
+    if kind == "root" and _root_orbits(n):
+        uncovered |= draw(st.sampled_from(_root_orbits(n)))
+    if kind == "hit" or (kind == "agl" and n in (3, 5, 7)):
+        P = oracles.multiplicative_orbit_partition(n) if kind == "agl" else draw(
+            st.sampled_from(_schemes(n))
+        )
+        blocks = [
+            set().union(*(P.parts[idx].pairs() for idx in orbit)) for orbit in _part_orbits(P)
+        ]
+    else:
+        blocks = _blocks(n, "sym3")
+    for idx in draw(st.permutations(range(len(blocks)))):
+        if draw(st.booleans()) and len(uncovered | blocks[idx]) <= UNCOVERED_CAP:
+            uncovered |= blocks[idx]
+    assume(uncovered)
+    return n, set(PairSet.universe(n).pairs()) - uncovered
+
+
+@PROPERTY
+@given(invariant_covers())
+def test_pruned_listing_matches_reference_orbits(cover):
+    """Below any Sym(3)-invariant covered set, the listing that prunes row
+    prefixes by their index-map images yields exactly the orbits that survive
+    the unpruned listing followed by the orbit test, in the same order."""
+    n, covered = cover
+    search = _Search(n, n - 2, False, None)
+    got = list(search.branches(PairSet.from_pairs(n, covered).mask))
+    assert got == _reference_branches(n, covered)
+    assert search.complete
+
+
+def test_root_listing_matches_reference_orbits():
+    """Nothing covered, every valency: the whole root listing for n = 3..7,
+    and the unpruned candidates through a pair for n = 3..6."""
+    for n in range(3, 8):
+        assert list(_Search(n, n - 2, False, None).branches(0)) == _reference_branches(n, ())
+    for n in range(3, 7):
+        expected = [
+            part
+            for r in range(1, n - 1)
+            for part in oracles.regular_subsets(n, r, PairSet.universe(n).pairs(), (2, 1))
+        ]
+        assert [sorted(p.pairs()) for p in enumerate_candidate_parts(n, (2, 1))] == expected
 
 
 # --- verify_a2 on edited orbit schemes -------------------------------------------

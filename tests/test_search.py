@@ -162,12 +162,38 @@ def test_time_budget_reports_incomplete():
 
 
 def test_time_budget_is_a_bound():
-    """At n = 8 the root candidates alone take far longer than the budget;
-    listing them polls the deadline."""
-    start = time.monotonic()
-    result = search_ast_regular(SearchConfig(8, time_budget=1.0))
-    assert time.monotonic() - start < 2.0
-    assert not result.complete
+    """At n = 11, 12 and 16 the search runs far longer than the budget; the
+    candidate listing polls the deadline."""
+    for n in (11, 12, 16):
+        start = time.monotonic()
+        result = search_ast_regular(SearchConfig(n, time_budget=1.0))
+        assert time.monotonic() - start < 2.0
+        assert not result.complete
+
+
+def _universe_pairs(n):
+    return [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
+
+
+@pytest.mark.parametrize(
+    "n, nodes, parts",
+    [
+        # complete unfiltered searches: --jobs 1 and 2 agree, and the only
+        # hit is the one-part partition
+        (8, 1, [[_universe_pairs(8)]]),
+        (9, 7, [[_universe_pairs(9)]]),
+    ],
+)
+def test_complete_search_is_frozen(n, nodes, parts):
+    result = search_ast_regular(SearchConfig(n), jobs=2)
+    assert result.complete
+    assert result.nodes == nodes
+    assert [[sorted(part.pairs()) for part in hit.partition.parts] for hit in result.hits] == parts
+    for hit in result.hits:
+        assert is_ast_regular(hit.partition).ok
+        assert verify_ast(build_ast(hit.partition)).ok
+    serial = search_ast_regular(SearchConfig(n), jobs=1)
+    assert json.dumps(serial.to_obj()) == json.dumps(result.to_obj())
 
 
 def test_jobs_do_not_change_the_report():
