@@ -1,11 +1,13 @@
-"""Property tests: the binning kernels and the Sym(3) rank table against
-the brute-force references.
+"""Property tests: the binning kernels, the Sym(3) rank table and the
+search's candidate listing against the brute-force references.
 
 `is_ast_regular` and the search's node check bin every pair of X(n) once,
 `verify_a2` counts each triple's w-column with one Counter, and `sym3_image`
 permutes mask bits through a per-n rank table; all must agree, verdict and
 witness, with the plain loops in `oracles.py` and with `pair_image` applied
-pair by pair.
+pair by pair. The search's listing drops row prefixes by their index-map
+images and must yield the orbits that the unpruned listing in `oracles.py`
+keeps after testing each candidate's orbit.
 """
 
 import collections
