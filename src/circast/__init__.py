@@ -20,7 +20,6 @@ from .astcheck import (
     verify_a2,
     verify_a3,
     verify_ast,
-    verify_trivial,
 )
 from .circulant import (
     CYCLE123,
@@ -70,6 +69,7 @@ from .core import (
     make_domain,
     pair_capacity,
     trivial_relations,
+    verify_trivial,
 )
 from .groups import (
     GroupSpec,

@@ -4,23 +4,28 @@ verify_ast runs the whole pipeline on a candidate scheme: the trivial-relation
 layout, axiom A1 (constant out-degree per nontrivial relation), axiom A3 (the
 coordinate permutations permute the relations) and axiom A2 (the principal
 regularity condition), producing the full tensor of intersection numbers
-p_{ijk}^l together with the three marginal parameter families. verify_a2
-bins, for every triple (x,y,z), each w in Omega by the ids of (w,y,z), (x,w,z),
-(x,y,w), and the resulting count vector must be constant across each relation.
-The relation ids are laid out once in a flat table indexed by x*n*n + y*n + z,
-so the three columns over w are slices of it and each count vector is one
-C-level Counter over their zip: O(n^4) work, done almost entirely in C.
+p_{ijk}^l together with the three marginal parameter families.
+
+A2 and A3 read one table, the relation id of every triple laid out flat at
+x*n*n + y*n + z. verify_a2 bins, for every triple (x,y,z), each w in Omega by
+the ids of (w,y,z), (x,w,z), (x,y,w): three slices of the table, counted by
+one C-level Counter over their zip (O(n^4) work, almost all in C); the count
+vector must be constant across each relation. verify_a3 counts the pairs
+(id of t, id of g(t)) in one Counter per permutation g. The marginals are
+tensor sums over the bins of R3 = {(x,x,y)} and R1 = {(x,y,y)}: those bins
+count the completions of a pair of distinct points in each slot, and A2 makes
+them constant, so they need no recount.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 from typing import Optional, Union
 
-from .circulant import SYM3, SYM3_NAME, EmptyIndexSet, permute_relation, sym3_image
-from .core import CircastError, PairSet, TriplePartition, make_domain, trivial_relations
+from .circulant import SYM3, SYM3_NAME, EmptyIndexSet, sym3_image
+from .core import CircastError, PairSet, TriplePartition, verify_trivial
 
 
 class IdentityViolation(CircastError):
@@ -50,8 +55,9 @@ class StructureTensor:
     """The intersection numbers p_{ijk}^l of a scheme plus its marginals.
 
     `p` is sparse: absent keys are zero. The marginals map each nontrivial id
-    to the constants counted directly on the relation (first, middle and last
-    coordinate respectively).
+    to the number of completions of an ordered pair of distinct points in the
+    first, middle and last coordinate, summed from the bins of R3 (first and
+    middle) and R1 (last).
     """
 
     n: int
@@ -104,88 +110,80 @@ class ASTReport:
         }
 
 
-def verify_trivial(A: TriplePartition) -> bool:
-    """True iff relations 0..3 are exactly the four trivial relations."""
-    if len(A.relations) < 4:
-        return False
-    return tuple(A.relations[:4]) == trivial_relations(make_domain(A.n))
-
-
-def _axis_constant(n: int, rel, axis: int):
-    """Constant count of completions of a pair in the given coordinate slot.
-
-    axis 1 counts z with (z,x,y) in the relation, axis 2 counts (x,z,y),
-    axis 3 counts (x,y,z); constancy is over all ordered pairs x != y.
-    Returns (value, None) or (None, witness).
-    """
-    counts: dict = {}
-    for t in rel.triples:
-        if axis == 1:
-            k = (t[1], t[2])
-        elif axis == 2:
-            k = (t[0], t[2])
-        else:
-            k = (t[0], t[1])
-        counts[k] = counts.get(k, 0) + 1
-    ref = None
-    ref_pair = None
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            c = counts.get((x, y), 0)
-            if ref is None:
-                ref, ref_pair = c, (x, y)
-            elif c != ref:
-                return None, (ref_pair, ref, (x, y), c)
-    return ref, None
-
-
 def verify_a1(A: TriplePartition) -> Union[dict, AxiomFailure]:
     """The positive constants n_i^(3) for each nontrivial relation, or a
-    witness pair with two differing counts."""
+    witness pair with two differing counts: the count of z with (x,y,z) in
+    the relation must be one positive value over all ordered pairs x != y."""
     out = {}
     for rid in range(4, len(A.relations)):
-        value, witness = _axis_constant(A.n, A.relations[rid], 3)
-        if witness is not None:
-            pair_a, count_a, pair_b, count_b = witness
-            return AxiomFailure(
-                "A1",
-                {
-                    "relation": rid,
-                    "pair_a": pair_a,
-                    "count_a": count_a,
-                    "pair_b": pair_b,
-                    "count_b": count_b,
-                },
-            )
-        if value == 0:
+        counts = Counter((x, y) for x, y, _ in A.relations[rid].triples)
+        ref = counts[(0, 1)]
+        for pair in permutations(range(A.n), 2):  # x != y, lexicographic: (0, 1) first
+            if counts[pair] != ref:
+                return AxiomFailure(
+                    "A1",
+                    {
+                        "relation": rid,
+                        "pair_a": (0, 1),
+                        "count_a": ref,
+                        "pair_b": pair,
+                        "count_b": counts[pair],
+                    },
+                )
+        if ref == 0:
             return AxiomFailure("A1", {"relation": rid, "reason": "zero count"})
-        out[rid] = value
+        out[rid] = ref
     return out
+
+
+def _id_table(A: TriplePartition) -> list:
+    """The relation id of every triple, at x*n*n + y*n + z; KeyError on a
+    triple in no relation."""
+    ids = A.triple_ids()
+    return [ids[t] for t in product(range(A.n), repeat=3)]
 
 
 def verify_a3(A: TriplePartition) -> Union[dict, AxiomFailure]:
     """The induced Sym(3) action on relation ids, or a witness (i, sigma)
-    whose permuted relation is not a relation of the partition."""
-    lookup = {rel.triples: rid for rid, rel in enumerate(A.relations)}
+    whose permuted relation is not a relation of the partition; KeyError
+    when A does not cover the triple space.
+
+    g maps R_i onto R_j exactly when it sends all |R_i| triples of R_i into
+    R_j and |R_i| = |R_j|; one Counter over (id of t, id of g(t)) per g
+    decides this for every relation at once."""
+    n = A.n
+    flat = _id_table(A)
+    size = [len(rel) for rel in A.relations]
+    images = {}
+    for g in SYM3:
+        # t^g holds t[k] at position g[k] (permute_triple), so its index is
+        # the sum of t[k] * n**(3 - g[k])
+        sx, sy, sz = (n ** (3 - p) for p in g)
+        moved = []
+        for x, y in product(range(n), repeat=2):
+            start = x * sx + y * sy
+            moved += flat[start : start + sz * (n - 1) + 1 : sz]
+        for (i, j), count in Counter(zip(flat, moved)).items():
+            if count == size[i] == size[j]:
+                images[(i, g)] = j
     action = {}
-    for rid, rel in enumerate(A.relations):
-        for g in SYM3:
-            target = lookup.get(permute_relation(rel, g).triples)
-            if target is None:
-                return AxiomFailure("A3", {"relation": rid, "element": SYM3_NAME[g]})
-            action[(rid, g)] = target
+    for rid, g in product(range(len(A.relations)), SYM3):
+        if (rid, g) not in images:
+            return AxiomFailure("A3", {"relation": rid, "element": SYM3_NAME[g]})
+        action[(rid, g)] = images[(rid, g)]
     return action
 
 
 def verify_a2(A: TriplePartition) -> Union[StructureTensor, AxiomFailure]:
     """The full tensor p_{ijk}^l, or two witness triples in one relation with
-    different count vectors."""
+    different count vectors.
+
+    Needs the trivial layout (ids 0..3 are R0..R3, as :func:`verify_ast`
+    checks first): the marginals are read off the constant bins of R1 and R3.
+    """
     n = A.n
     nn = n * n
-    ids = A.triple_ids()
-    flat = [ids[t] for t in product(range(n), repeat=3)]  # KeyError on a missing triple
+    flat = _id_table(A)
     first = [[flat[y * n + z :: nn] for z in range(n)] for y in range(n)]  # ids of (w,y,z)
     reference: dict = {}  # relation id -> (triple, count vector)
     for x in range(n):
@@ -220,34 +218,30 @@ def verify_a2(A: TriplePartition) -> Union[StructureTensor, AxiomFailure]:
         for l, (_, vec) in reference.items()
         for (i, j, k), count in vec.items()
     }
-    marginals = ({}, {}, {})
-    for rid in range(4, len(A.relations)):
-        for axis in (1, 2, 3):
-            value, witness = _axis_constant(n, A.relations[rid], axis)
-            if witness is not None:
-                return AxiomFailure(
-                    "A2", {"relation": rid, "axis": axis, "reason": "marginal not constant"}
-                )
-            marginals[axis - 1][rid] = value
-    return StructureTensor(n, A.m, p, *marginals)
+    # a triple (x,x,y) of R3 counts in bin (i,.,.) the w with (w,x,y) in R_i,
+    # in bin (.,j,.) those with (x,w,y) in R_j; (x,y,y) of R1 counts in bin
+    # (.,.,k) the w with (x,y,w) in R_k
+    n1, n2, n3 = ({rid: 0 for rid in range(4, len(A.relations))} for _ in range(3))
+    for (i, j, k, l), count in p.items():
+        for marginal, rid, base in ((n1, i, 3), (n2, j, 3), (n3, k, 1)):
+            if l == base and rid in marginal:
+                marginal[rid] += count
+    return StructureTensor(n, A.m, p, n1, n2, n3)
 
 
 def derived_parameters(t: StructureTensor) -> tuple[dict, dict]:
-    """The marginals n_i^(1), n_i^(2) computed from the tensor, cross-checked
-    against the directly counted values stored on the tensor."""
+    """The marginals n_i^(1), n_i^(2) summed from the bins of R2 and R1,
+    cross-checked against those stored on the tensor (from R3)."""
     n1 = {}
     n2 = {}
     for i in range(4, t.m + 1):
         n1[i] = sum(t.p.get((i, 2, k, 2), 0) for k in range(t.m + 1))
         n2[i] = sum(t.p.get((1, i, k, 1), 0) for k in range(t.m + 1))
-        if n1[i] != t.n1.get(i):
-            raise IdentityViolation(
-                f"n_{i}^(1): tensor sum {n1[i]} != direct count {t.n1.get(i)}", relation=i
-            )
-        if n2[i] != t.n2.get(i):
-            raise IdentityViolation(
-                f"n_{i}^(2): tensor sum {n2[i]} != direct count {t.n2.get(i)}", relation=i
-            )
+        for axis, derived, stored in ((1, n1[i], t.n1.get(i)), (2, n2[i], t.n2.get(i))):
+            if derived != stored:
+                raise IdentityViolation(
+                    f"n_{i}^({axis}): tensor sum {derived} != direct count {stored}", relation=i
+                )
     return n1, n2
 
 

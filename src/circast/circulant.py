@@ -38,6 +38,7 @@ from .core import (
     pair_rank,
     pair_unrank,
     trivial_relations,
+    verify_trivial,
 )
 
 
@@ -125,21 +126,12 @@ def permute_relation(R: TernaryRelation, g: Sym3Element) -> TernaryRelation:
 
 
 def pair_image(n: int, pair: Pair, g: Sym3Element) -> Pair:
-    """Image of one index pair under the map realising the permutation g."""
-    i, j = pair
-    if g == IDENTITY:
-        return (i, j)
-    if g == SWAP12:
-        return (-i % n, (j - i) % n)
-    if g == SWAP23:
-        return (j, i)
-    if g == SWAP13:
-        return ((i - j) % n, -j % n)
-    if g == CYCLE123:
-        return (-j % n, (i - j) % n)
-    if g == CYCLE132:
-        return ((j - i) % n, -i % n)
-    raise ValueError(f"{g!r} is not a Sym(3) element")
+    """Image of one index pair under the map realising the permutation g: the
+    triple (0,i,j) permuted by g, shifted back to first coordinate 0."""
+    if g not in SYM3:
+        raise ValueError(f"{g!r} is not a Sym(3) element")
+    x, y, z = permute_triple((0, *pair), g)
+    return ((y - x) % n, (z - x) % n)
 
 
 @lru_cache(maxsize=None)
@@ -458,8 +450,7 @@ def build_ast(P: IndexPartition) -> TriplePartition:
 def extract_partition(A: TriplePartition) -> IndexPartition:
     """Recover the partition of X(n) from a circulant scheme; inverse of
     :func:`build_ast` up to relation order."""
-    d = make_domain(A.n)
-    if len(A.relations) < 5 or tuple(A.relations[:4]) != trivial_relations(d):
+    if not verify_trivial(A) or len(A.relations) < 5:
         raise NotCirculantAST("relations 0..3 are not the trivial relations")
     parts = []
     for rid in range(4, len(A.relations)):

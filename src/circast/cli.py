@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .astcheck import derived_parameters, symmetrise, verify_ast
+from .astcheck import symmetrise, verify_ast
 from .circulant import (
     EmptyIndexSet,
     NotASTRegular,
@@ -36,6 +36,9 @@ from .circulant import (
     is_ast_regular,
 )
 from .core import (
+    INDEX_N_CAP,
+    SEARCH_N_CAP,
+    TRIPLE_N_CAP,
     DomainTooSmall,
     IndexPartition,
     PairSet,
@@ -43,6 +46,7 @@ from .core import (
     TriplePartition,
     build_pair_universe,
     make_domain,
+    strict_int,
 )
 from .groups import GroupSpec, MalformedCycles, NotPrime, agl1, orbit_partition_on_triples, shift_invariance_check
 from .search import SearchConfig, search_ast_regular
@@ -72,24 +76,12 @@ def _emit(args, obj, out_path: str | None = None) -> None:
         print(text)
 
 
-def _n_at_most(cap: int):
-    """An argparse type for --n that refuses n above the command's cap, before
-    anything of size n is built."""
-
-    def parse(text: str) -> int:
-        if int(text) > cap:
-            raise argparse.ArgumentTypeError(f"n = {text} is above this command's cap of {cap}")
-        return int(text)
-
-    return parse
-
-
 def _parse_seconds(text: str) -> float:
     return float(text[:-1] if text.endswith("s") else text)
 
 
 def cmd_gen_x(args) -> int:
-    X = build_pair_universe(make_domain(args.n))
+    X = build_pair_universe(make_domain(strict_int(args.n, "n", INDEX_N_CAP)))
     if args.format == "json":
         _emit(args, X.to_obj())
     else:
@@ -115,6 +107,7 @@ def cmd_verify_partition(args) -> int:
 
 def cmd_build(args) -> int:
     P = IndexPartition.from_obj(_load(args.infile))
+    strict_int(P.n, "n", TRIPLE_N_CAP)  # the scheme holds all n^3 triples
     try:
         A = build_ast(P)
     except NotASTRegular as exc:
@@ -201,7 +194,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_orbits(args) -> int:
     if args.agl is not None:
-        G = agl1(args.agl)
+        G = agl1(strict_int(args.agl, "p", TRIPLE_N_CAP))
     else:
         G = GroupSpec.from_obj(_load(args.group))
     A = orbit_partition_on_triples(G)
@@ -218,7 +211,7 @@ def cmd_orbits(args) -> int:
 
 def cmd_search(args) -> int:
     config = SearchConfig(
-        n=args.n,
+        n=strict_int(args.n, "n", SEARCH_N_CAP),
         max_nI=args.max_ni,
         require_all_thin=args.all_thin,
         require_symmetric=args.symmetric,
@@ -255,14 +248,8 @@ def cmd_params(args) -> int:
         print(f"not an AST: {[f.to_obj() for f in report.failures]}", file=sys.stderr)
         return 1
     tensor = report.tensor
-    derived_parameters(tensor)  # raises on an identity violation
-    obj = {
-        "n1": {str(k): v for k, v in sorted(tensor.n1.items())},
-        "n2": {str(k): v for k, v in sorted(tensor.n2.items())},
-        "n3": {str(k): v for k, v in sorted(tensor.n3.items())},
-    }
     if args.format == "json":
-        _emit(args, obj)
+        _emit(args, tensor.to_obj()["marginals"])
     else:
         for rid in sorted(tensor.n3):
             print(f"relation {rid}: n1={tensor.n1[rid]} n2={tensor.n2[rid]} n3={tensor.n3[rid]}")
@@ -279,9 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("table", "json"), default="table")
 
-    # X(n) has (n-1)(n-2) pairs; at the caps gen-x peaks near 40 MB, search near 25 MB
     p = sub.add_parser("gen-x", help="emit the pair universe X(n)")
-    p.add_argument("--n", type=_n_at_most(256), required=True)
+    p.add_argument("--n", type=int, required=True)
     common(p)
     p.set_defaults(func=cmd_gen_x)
 
@@ -325,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("search", help="enumerate AST-regular partitions of X(n)")
-    p.add_argument("--n", type=_n_at_most(100), required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-ni", dest="max_ni", type=int, default=None)
     p.add_argument("--all-thin", dest="all_thin", action="store_true")
     p.add_argument("--symmetric", action="store_true")

@@ -14,7 +14,7 @@ contents: equal values compare equal and serialise to identical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -39,11 +39,21 @@ class Domain:
             raise DomainTooSmall(f"base set needs n >= 3, got n={self.n}")
 
 
-def strict_int(value, what: str) -> int:
-    """The value itself if it is an int; bools, floats and strings raise
-    ValueError instead of being read as a number."""
+# caps on n read from input, checked before anything of size n is built.
+# Index-level input reads back every X(n) that gen-x writes; at the other two
+# caps, building all n^3 triples and a search each peak below 200 MB.
+INDEX_N_CAP = 256
+TRIPLE_N_CAP = 64
+SEARCH_N_CAP = 100
+
+
+def strict_int(value, what: str, cap: Optional[int] = None) -> int:
+    """The value itself if it is an int, at most cap if one is given; bools,
+    floats and strings raise ValueError instead of being read as a number."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if cap is not None and value > cap:
+        raise ValueError(f"{what} = {value} is above this command's cap of {cap}")
     return value
 
 
@@ -163,7 +173,7 @@ class PairSet:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PairSet":
-        return cls.from_pairs(strict_int(obj["n"], "n"), obj["pairs"])
+        return cls.from_pairs(strict_int(obj["n"], "n", INDEX_N_CAP), obj["pairs"])
 
     def __repr__(self) -> str:
         return f"PairSet(n={self.n}, pairs={list(self.pairs())})"
@@ -241,6 +251,11 @@ def trivial_relations(d: Domain) -> tuple[TernaryRelation, ...]:
     r2 = frozenset((x, y, x) for x in range(n) for y in range(n) if x != y)
     r3 = frozenset((x, x, y) for x in range(n) for y in range(n) if x != y)
     return tuple(TernaryRelation(n, r) for r in (r0, r1, r2, r3))
+
+
+def verify_trivial(A: "TriplePartition") -> bool:
+    """True iff relations 0..3 are exactly the four trivial relations."""
+    return tuple(A.relations[:4]) == trivial_relations(make_domain(A.n))
 
 
 @dataclass(frozen=True)
@@ -342,7 +357,7 @@ class IndexPartition:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "IndexPartition":
-        n = strict_int(obj["n"], "n")
+        n = strict_int(obj["n"], "n", INDEX_N_CAP)
         parts = tuple(PairSet.from_pairs(n, block) for block in obj["parts"])
         return cls(n, parts)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .circulant import is_circulant
-from .core import CircastError, TernaryRelation, TriplePartition, make_domain, strict_int, trivial_relations
+from .core import TRIPLE_N_CAP, CircastError, TernaryRelation, TriplePartition, make_domain, strict_int, trivial_relations
 
 
 class MalformedCycles(CircastError, ValueError):
@@ -110,7 +110,7 @@ class GroupSpec:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "GroupSpec":
-        n = strict_int(obj["n"], "n")
+        n = strict_int(obj["n"], "n", TRIPLE_N_CAP)
         return cls(n, tuple(parse_cycles(text, n) for text in obj["generators"]))
 
 

@@ -41,6 +41,7 @@ from .circulant import (
     expand_partition,
     is_ast_regular,
     pair_bins,
+    regularity_stats,
     sym3_rank_maps,
 )
 from .core import (
@@ -48,11 +49,14 @@ from .core import (
     Pair,
     PairSet,
     in_pair_universe,
-    iter_bits,
     pair_capacity,
     pair_rank,
     pair_unrank,
 )
+
+
+# each worker is a whole interpreter process, so a count above this is a typo
+MAX_JOBS = 64
 
 
 @dataclass(frozen=True)
@@ -133,23 +137,6 @@ class _Universe:
         self.row_ranks = [range((i - 1) * (n - 2), i * (n - 2)) for i in range(1, n)]
         maps = sym3_rank_maps(n)
         self.images = list(zip(*(maps[g] for g in SYM3 if g != IDENTITY)))
-
-    def valency(self, mask: int) -> Optional[int]:
-        """The constant row/column count if the mask is regular, else None."""
-        n = self.n
-        r, rem = divmod(mask.bit_count(), n - 1)
-        if rem or r == 0:
-            return None
-        rows = [0] * n
-        cols = [0] * n
-        for rank in iter_bits(mask):
-            i, j = self.pair_of[rank]
-            rows[i] += 1
-            cols[j] += 1
-        for x in range(1, n):
-            if rows[x] != r or cols[x] != r:
-                return None
-        return r
 
     def regular_subsets(self, r: int, allowed: int, forced_rank: Optional[int] = None,
                         closed: bool = False, deadline: Optional[float] = None) -> Iterator[tuple]:
@@ -264,7 +251,7 @@ class _Search:
             if m & union:
                 return None
             union |= m
-            if m != mask and self.uni.valency(m) is None:
+            if m != mask and not regularity_stats(PairSet(self.uni.n, m)).ok:
                 return None
         return tuple(orbit)
 
@@ -303,8 +290,8 @@ def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
     """Backtracking enumeration of all AST-regular partitions of X(n) under
     the config's caps and filters; each reported partition is re-verified via
     the regularity test and the axiom checker on its scheme."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
     start = time.monotonic()
     n = config.n
     max_r = n - 2
@@ -317,7 +304,7 @@ def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
     root = _Search(n, max_r, config.require_symmetric, deadline)
     tasks = [(n, max_r, config.require_symmetric, deadline, orbit) for orbit in root.branches(0)]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             branches = list(pool.map(_branch_worker, tasks))
     else:
         branches = map(_branch_worker, tasks)

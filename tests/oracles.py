@@ -12,12 +12,14 @@ from sympy.utilities.iterables import multiset_partitions
 
 from circast import (
     SYM3,
+    SYM3_NAME,
     AxiomFailure,
     IndexPartition,
     PairSet,
     StructureTensor,
     is_ast_regular,
     pair_image,
+    permute_relation,
 )
 
 
@@ -216,6 +218,46 @@ def _axis_constant(n, rel, axis):
             elif c != ref:
                 return None, (ref_pair, ref, (x, y), c)
     return ref, None
+
+
+def reference_verify_a1(A):
+    """Axiom A1 relation by relation through `_axis_constant` on the last
+    slot, kept as the reference for circast.verify_a1: same constants and
+    witness."""
+    out = {}
+    for rid in range(4, len(A.relations)):
+        value, witness = _axis_constant(A.n, A.relations[rid], 3)
+        if witness is not None:
+            pair_a, count_a, pair_b, count_b = witness
+            return AxiomFailure(
+                "A1",
+                {
+                    "relation": rid,
+                    "pair_a": pair_a,
+                    "count_a": count_a,
+                    "pair_b": pair_b,
+                    "count_b": count_b,
+                },
+            )
+        if value == 0:
+            return AxiomFailure("A1", {"relation": rid, "reason": "zero count"})
+        out[rid] = value
+    return out
+
+
+def reference_verify_a3(A):
+    """Axiom A3 by looking up each permuted relation, as a frozenset of
+    triples, among the relations; the reference for circast.verify_a3: same
+    action and witness."""
+    lookup = {rel.triples: rid for rid, rel in enumerate(A.relations)}
+    action = {}
+    for rid, rel in enumerate(A.relations):
+        for g in SYM3:
+            target = lookup.get(permute_relation(rel, g).triples)
+            if target is None:
+                return AxiomFailure("A3", {"relation": rid, "element": SYM3_NAME[g]})
+            action[(rid, g)] = target
+    return action
 
 
 def reference_verify_a2(A):

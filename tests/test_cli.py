@@ -4,6 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import circast.search as search_module
 from circast import IndexPartition, PairSet, build_ast
 from circast.cli import main
 
@@ -241,6 +242,54 @@ def test_n_above_the_cap_is_refused(command, cap, capsys):
 def test_gen_x_at_the_cap():
     code, obj = run_json(["gen-x", "--n", "256"])
     assert code == 0 and len(obj["pairs"]) == 255 * 254
+
+
+def _universe_partition(n):
+    return IndexPartition(n, (PairSet.universe(n),)).to_obj()
+
+
+@pytest.mark.parametrize(
+    "command, obj, cap",
+    [
+        ("symmetrise", {"n": 257, "pairs": [[1, 2]]}, 256),
+        ("decompose", {"n": 257, "pairs": [[1, 2]]}, 256),
+        ("verify-partition", {"n": 257, "parts": [[[1, 2]]]}, 256),
+        ("build", {"n": 257, "parts": [[[1, 2]]]}, 256),
+        ("build", _universe_partition(65), 64),
+        ("orbits", {"n": 65, "generators": ["(0 1)"]}, 64),
+    ],
+)
+def test_json_n_above_the_cap_is_refused(tmp_path, command, obj, cap, capsys):
+    """A size in an input file above the command's cap exits 2 before
+    anything of that size is built: PairSet, IndexPartition and GroupSpec
+    input, and the scheme that build writes."""
+    flag = "--group" if command == "orbits" else "--in"
+    code, out = run([command, flag, write_json(tmp_path, "in.json", obj)])
+    assert code == 2 and out == ""
+    assert f"above this command's cap of {cap}" in capsys.readouterr().err
+
+
+def test_agl_above_the_cap_is_refused(capsys):
+    code, out = run(["orbits", "--agl", "67"])
+    assert code == 2 and out == ""
+    assert "above this command's cap of 64" in capsys.readouterr().err
+
+
+def test_index_input_at_the_cap(tmp_path):
+    """Every gen-x output reads back: index-level input up to n = 256."""
+    path = write_json(tmp_path, "pair.json", {"n": 256, "pairs": [[1, 2]]})
+    code, obj = run_json(["symmetrise", "--in", path])
+    assert code == 0 and [1, 2] in obj["pairs"]
+
+
+def test_jobs_above_the_bound_are_refused(monkeypatch, capsys):
+    """--jobs above MAX_JOBS exits 2; the pool is replaced so that a broken
+    bound starts no process either."""
+    started = []
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+    code, out = run(["search", "--n", "5", "--jobs", str(search_module.MAX_JOBS + 1)])
+    assert code == 2 and out == "" and started == []
+    assert f"between 1 and {search_module.MAX_JOBS}" in capsys.readouterr().err
 
 
 def _n3_scheme_with_id(bad_id):

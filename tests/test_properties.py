@@ -2,10 +2,11 @@
 search's candidate listing against the brute-force references.
 
 `is_ast_regular` and the search's node check bin every pair of X(n) once,
-`verify_a2` counts each triple's w-column with one Counter, and `sym3_image`
-permutes mask bits through a per-n rank table; all must agree, verdict and
-witness, with the plain loops in `oracles.py` and with `pair_image` applied
-pair by pair. The search's listing drops row prefixes by their index-map
+`verify_a2` counts each triple's w-column with one Counter and reads the
+marginals off the tensor, `verify_a3` counts (id of t, id of g(t)) over the
+same relation-id table, and `sym3_image` permutes mask bits through a per-n
+rank table; all must agree, verdict and witness, with the plain loops and set
+lookups in `oracles.py` and with `pair_image` applied pair by pair. The search's listing drops row prefixes by their index-map
 images and must yield the orbits that the unpruned listing in `oracles.py`
 keeps after testing each candidate's orbit.
 """
@@ -41,7 +42,9 @@ from circast import (
     search_ast_regular,
     sym3_image,
     trivial_relations,
+    verify_a1,
     verify_a2,
+    verify_a3,
 )
 from circast.circulant import pair_bins
 from circast.search import _Search
@@ -403,10 +406,26 @@ def test_verify_a2_matches_reference_scan(A):
     assert verify_a2(A) == oracles.reference_verify_a2(A)
 
 
+@PROPERTY
+@given(edited_schemes())
+def test_verify_a1_matches_reference_counts(A):
+    assert verify_a1(A) == oracles.reference_verify_a1(A)
+
+
+@PROPERTY
+@given(edited_schemes())
+def test_verify_a3_matches_reference_lookup(A):
+    """The id-table action agrees with looking each permuted relation up as a
+    set, witness included; a relation mapped into a larger one is no image."""
+    assert verify_a3(A) == oracles.reference_verify_a3(A)
+
+
 def test_verify_a2_raises_on_a_missing_triple():
-    """A triple outside every relation is an error, never relation 0."""
+    """A triple outside every relation is an error, never relation 0, in both
+    checks that read the relation-id table."""
     P = oracles.multiplicative_orbit_partition(5)
     trivial = trivial_relations(make_domain(5))
     A = TriplePartition(5, trivial + tuple(expand(part) for part in P.parts[:-1]))
-    with pytest.raises(KeyError):
-        verify_a2(A)
+    for check in (verify_a2, verify_a3):
+        with pytest.raises(KeyError):
+            check(A)

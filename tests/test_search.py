@@ -214,8 +214,39 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SearchConfig(5, **bad)
     assert SearchConfig(5, limit=0, max_nI=1, time_budget=0.5).limit == 0
-    with pytest.raises(ValueError):
-        search_ast_regular(SearchConfig(5), jobs=0)
+    for jobs in (0, search_module.MAX_JOBS + 1):
+        with pytest.raises(ValueError):
+            search_ast_regular(SearchConfig(5), jobs=jobs)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_pool_has_at_most_one_worker_per_task(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _RecordingPool)
+    tasks = len(list(search_module._Search(7, 5, False, None).branches(0)))
+    assert 1 < tasks < search_module.MAX_JOBS
+    result = search_ast_regular(SearchConfig(7), jobs=search_module.MAX_JOBS)
+    assert _RecordingPool.started == [tasks]
+    serial = search_ast_regular(SearchConfig(7), jobs=1)
+    assert json.dumps(result.to_obj()) == json.dumps(serial.to_obj())
 
 
 def test_each_hit_is_checked_once_at_index_level(monkeypatch):
