@@ -4,7 +4,8 @@ search's candidate listing against the brute-force references.
 `is_ast_regular` and the search's node check bin every pair of X(n) once,
 `verify_a2` counts each triple's w-column with one Counter and reads the
 marginals off the tensor, `verify_a3` counts (id of t, id of g(t)) over the
-same relation-id table, and `sym3_image` permutes mask bits through a per-n
+same relation-id table (on the x = 0 fibre alone when the diagonal shift
+fixes every relation), and `sym3_image` permutes mask bits through a per-n
 rank table; all must agree, verdict and witness, with the plain loops and set
 lookups in `oracles.py` and with `pair_image` applied pair by pair. The search's listing drops row prefixes by their index-map
 images and must yield the orbits that the unpruned listing in `oracles.py`
@@ -34,6 +35,7 @@ from circast import (
     circulant_structure_constant,
     enumerate_candidate_parts,
     expand,
+    expand_partition,
     is_ast_regular,
     make_domain,
     orbit_partition_on_triples,
@@ -46,6 +48,7 @@ from circast import (
     verify_a2,
     verify_a3,
 )
+from circast.astcheck import _id_table
 from circast.circulant import pair_bins
 from circast.search import _Search
 
@@ -387,16 +390,39 @@ def _fused(draw, A):
     )
 
 
+def _is_affine(n, pi):
+    return all(pi[x] == (pi[0] + x * (pi[1] - pi[0])) % n for x in range(n))
+
+
+def _relabelled(draw, A):
+    """A, or one of its fusions, with the points of Omega renamed by a
+    permutation that is not affine: still a scheme (or a fused candidate),
+    but as a rule the diagonal shift no longer fixes its relations."""
+    if draw(st.booleans()):
+        A = _fused(draw, A)
+    n = A.n
+    pi = draw(st.permutations(range(n)).filter(lambda pi: not _is_affine(n, pi)))
+    return TriplePartition(
+        n,
+        tuple(
+            TernaryRelation(n, frozenset((pi[x], pi[y], pi[z]) for x, y, z in rel.triples))
+            for rel in A.relations
+        ),
+    )
+
+
 @st.composite
 def edited_schemes(draw):
     A = orbit_partition_on_triples(agl1(draw(st.sampled_from([5, 7]))))
-    edit = draw(st.sampled_from(["none", "moved", "swapped", "fused"]))
+    edit = draw(st.sampled_from(["none", "moved", "swapped", "fused", "relabelled"]))
     if edit == "moved":
         A = _moved(draw, A)
     elif edit == "swapped":
         A = _swapped(draw, A)
     elif edit == "fused":
         A = _fused(draw, A)
+    elif edit == "relabelled":
+        A = _relabelled(draw, A)
     return A
 
 
@@ -417,6 +443,37 @@ def test_verify_a1_matches_reference_counts(A):
 def test_verify_a3_matches_reference_lookup(A):
     """The id-table action agrees with looking each permuted relation up as a
     set, witness included; a relation mapped into a larger one is no image."""
+    assert verify_a3(A) == oracles.reference_verify_a3(A)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_checks_match_references_when_the_shift_moves_a_relation(n):
+    """The distinct triples through 0 and those avoiding 0: Sym(3)-closed,
+    but the diagonal shift moves both, so the x = 0 fibre stands for nothing
+    and both checks must scan every x."""
+    distinct = [t for t in product(range(n), repeat=3) if len(set(t)) == 3]
+    A = TriplePartition(
+        n,
+        trivial_relations(make_domain(n))
+        + tuple(
+            TernaryRelation(n, frozenset(t for t in distinct if (0 in t) == through_0))
+            for through_0 in (True, False)
+        ),
+    )
+    assert _id_table(A)[1] == 1
+    assert verify_a2(A) == oracles.reference_verify_a2(A)
+    assert verify_a3(A) == oracles.reference_verify_a3(A)
+
+
+@PROPERTY
+@given(index_partitions())
+def test_checks_on_expanded_partitions_match_reference_scans(P):
+    """Expanded partitions are shift-closed, so only the x = 0 fibre is
+    scanned, and most break A2 or A3: the one-fibre scans must give the
+    reference verdict, witness included."""
+    A = expand_partition(P)
+    assert _id_table(A)[1] == P.n
+    assert verify_a2(A) == oracles.reference_verify_a2(A)
     assert verify_a3(A) == oracles.reference_verify_a3(A)
 
 
