@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .astcheck import symmetrise, verify_ast
 from .circulant import (
@@ -63,11 +66,53 @@ def _load(path: str):
         return json.load(handle)
 
 
-def _render(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _scalar(obj) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        return "Infinity" if obj == math.inf else "-Infinity" if obj == -math.inf else float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit(args, obj, out_path: str | None = None) -> None:
+def _each(values, inner: str):
+    """The texts of the values, one C-level map when all are plain ints."""
+    if set(map(type, values)) == {int}:
+        return map(int.__repr__, values)
+    return [_render(value, inner) for value in values]
+
+
+def _render(obj, indent: str = "\n") -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+    Plain ints are written by one C-level map per list or dict, and a list of
+    equal-length plain-int lists (triples, pairs, tensor rows) by one % format."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return _scalar(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        keys, values = zip(*sorted(obj.items()))
+        heads = [encode_basestring_ascii(key if isinstance(key, str) else _scalar(key)) + ": " for key in keys]
+        return "{" + inner + ("," + inner).join(map(str.__add__, heads, _each(values, inner))) + indent + "}"
+    separator = "," + inner
+    if set(map(type, obj)) <= {list, tuple} and len(lengths := set(map(len, obj))) == 1 and 0 not in lengths and (
+        set(map(type, flat := tuple(chain.from_iterable(obj)))) <= {int}
+    ):
+        row = inner + "  "
+        item = "[" + row + ("," + row).join(["%d"] * lengths.pop()) + inner + "]"
+        body = separator.join([item] * len(obj)) % flat
+    else:
+        body = separator.join(_each(obj, inner))
+    return "[" + inner + body + indent + "]"
+
+
+def _emit(obj, out_path: str | None = None) -> None:
     text = _render(obj)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -83,7 +128,7 @@ def _parse_seconds(text: str) -> float:
 def cmd_gen_x(args) -> int:
     X = build_pair_universe(make_domain(strict_int(args.n, "n", INDEX_N_CAP)))
     if args.format == "json":
-        _emit(args, X.to_obj())
+        _emit(X.to_obj())
     else:
         print(f"pair universe for n={args.n}: {len(X)} pairs")
         for (i, j) in X:
@@ -95,7 +140,7 @@ def cmd_verify_partition(args) -> int:
     P = IndexPartition.from_obj(_load(args.infile))
     report = is_ast_regular(P)
     if args.format == "json":
-        _emit(args, report.to_obj())
+        _emit(report.to_obj())
     else:
         if report.ok:
             valencies = [s.n_I for s in report.part_stats]
@@ -115,7 +160,7 @@ def cmd_build(args) -> int:
         print(f"not AST-regular: {exc.report.failure}", file=sys.stderr)
         return 1
     if args.format == "json" or args.out:
-        _emit(args, A.to_obj(), args.out)
+        _emit(A.to_obj(), args.out)
     if args.format != "json":
         sizes = [len(rel) for rel in A.relations]
         print(f"scheme with {len(A.relations)} relations, sizes {sizes}")
@@ -126,7 +171,7 @@ def cmd_extract(args) -> int:
     A = TriplePartition.from_obj(_load(args.infile))
     P = extract_partition(A)
     if args.format == "json" or args.out:
-        _emit(args, P.to_obj(), args.out)
+        _emit(P.to_obj(), args.out)
     if args.format != "json":
         print(f"index partition with {len(P.parts)} parts over n={P.n}")
     return 0
@@ -136,7 +181,7 @@ def cmd_verify_ast(args) -> int:
     A = TriplePartition.from_obj(_load(args.infile))
     report = verify_ast(A)
     if args.format == "json":
-        _emit(args, report.to_obj())
+        _emit(report.to_obj())
     else:
         if report.ok:
             print(f"AST: ok (m={A.m}, symmetric={report.symmetric})")
@@ -169,7 +214,7 @@ def cmd_thin(args) -> int:
     else:
         raise ValueError("input must be a relation or a triple partition")
     if args.format == "json":
-        _emit(args, {"n": n, "relations": entries})
+        _emit({"n": n, "relations": entries})
     else:
         for e in entries:
             label = "relation" if e["id"] is None else f"relation {e['id']}"
@@ -181,7 +226,7 @@ def cmd_decompose(args) -> int:
     I = PairSet.from_obj(_load(args.infile))
     decomposition = matching_decomposition(I)
     if args.format == "json":
-        _emit(args, decomposition.to_obj())
+        _emit(decomposition.to_obj())
     else:
         from .circulant import expand
 
@@ -201,7 +246,7 @@ def cmd_orbits(args) -> int:
     circulant = shift_invariance_check(A)
     ast_ok = verify_ast(A).ok
     if args.format == "json":
-        _emit(args, {"partition": A.to_obj(), "circulant": circulant, "ast_ok": ast_ok})
+        _emit({"partition": A.to_obj(), "circulant": circulant, "ast_ok": ast_ok})
     else:
         sizes = [len(rel) for rel in A.relations[4:]]
         print(f"{len(sizes)} nontrivial orbits, sizes {sizes}")
@@ -221,7 +266,7 @@ def cmd_search(args) -> int:
     )
     result = search_ast_regular(config, jobs=args.jobs)
     if args.format == "json":
-        _emit(args, result.to_obj())
+        _emit(result.to_obj())
     else:
         state = "complete" if result.complete else "partial (budget exceeded)"
         print(f"{len(result.hits)} partition(s), {state}, {result.nodes} nodes")
@@ -235,7 +280,7 @@ def cmd_symmetrise(args) -> int:
     I = PairSet.from_obj(_load(args.infile))
     closed = symmetrise(I)
     if args.format == "json":
-        _emit(args, closed.to_obj())
+        _emit(closed.to_obj())
     else:
         print(f"closure has {len(closed)} pairs: {list(closed.pairs())}")
     return 0
@@ -249,7 +294,7 @@ def cmd_params(args) -> int:
         return 1
     tensor = report.tensor
     if args.format == "json":
-        _emit(args, tensor.to_obj()["marginals"])
+        _emit(tensor.to_obj()["marginals"])
     else:
         for rid in sorted(tensor.n3):
             print(f"relation {rid}: n1={tensor.n1[rid]} n2={tensor.n2[rid]} n3={tensor.n3[rid]}")

@@ -81,9 +81,10 @@ def test_build_and_out_file(tmp_path, coarse5_files):
     written = json.loads(out.read_text())
     assert len(written["relations"]) == 5
 
-    # stdout when --out omitted
-    code, obj = run_json(["build", "--in", partition_path])
-    assert code == 0 and len(obj["relations"]) == 5
+    # stdout when --out omitted, the same bytes as the file
+    code, text = run(["build", "--in", partition_path, "--format", "json"])
+    assert code == 0 and len(json.loads(text)["relations"]) == 5
+    assert out.read_bytes() == text.encode("utf-8")
 
     singletons = IndexPartition(
         4, tuple(PairSet.from_pairs(4, [p]) for p in PairSet.universe(4))
@@ -369,6 +370,21 @@ def test_piping_search_to_build_to_verify(tmp_path):
         assert code == 0
         code, report = run_json(["verify-ast", "--in", str(ast_path)])
         assert code == 0 and report["ok"]
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, coarse5_files):
+    """No flag of one in-process call of main may carry over to the next."""
+    partition_path, _ = coarse5_files
+    out = tmp_path / "ast.json"
+    assert run(["build", "--in", partition_path, "--out", str(out)])[0] == 0
+    code, text = run(["build", "--in", partition_path, "--format", "json"])
+    assert code == 0 and len(json.loads(text)["relations"]) == 5
+
+    code, filtered = run_json(["search", "--n", "5", "--symmetric", "--timeout", "60"])
+    assert code == 0 and filtered["config"]["require_symmetric"] and len(filtered["partitions"]) == 1
+    code, obj = run_json(["search", "--n", "5"])
+    assert code == 0 and len(obj["partitions"]) == 2
+    assert obj["config"]["require_symmetric"] is False and obj["config"]["time_budget"] is None
 
 
 def test_json_output_is_stable_across_runs():

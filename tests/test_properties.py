@@ -9,17 +9,19 @@ fixes every relation), and `sym3_image` permutes mask bits through a per-n
 rank table; all must agree, verdict and witness, with the plain loops and set
 lookups in `oracles.py` and with `pair_image` applied pair by pair. The search's listing drops row prefixes by their index-map
 images and must yield the orbits that the unpruned listing in `oracles.py`
-keeps after testing each candidate's orbit.
+keeps after testing each candidate's orbit. The CLI's JSON writer must give
+the bytes of `json.dumps(indent=2, sort_keys=True)`.
 """
 
 import collections
+import json
 import math
 from functools import lru_cache
 from itertools import product
 
 import oracles
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.utilities.iterables import multiset_partitions
 
@@ -49,6 +51,7 @@ from circast import (
     verify_a3,
 )
 from circast.astcheck import _id_table
+from circast.cli import _render
 from circast.circulant import pair_bins
 from circast.search import _Search
 
@@ -486,3 +489,53 @@ def test_verify_a2_raises_on_a_missing_triple():
     for check in (verify_a2, verify_a3):
         with pytest.raises(KeyError):
             check(A)
+
+
+# Text with quotes, backslashes, control characters and non-ASCII code points.
+_TEXT = st.text(st.characters(max_codepoint=0x1F600) | st.sampled_from('"\\\x00\x1f\x7f\u2028é'), max_size=6)
+# bool is an int subclass that json writes as true/false, never as 1/0.
+_INT = st.integers(-(2**70), 2**70) | st.booleans()
+_ROW = st.lists(_INT, max_size=4)
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+
+
+def _rows_of_length(k):
+    row = st.lists(_INT, min_size=k, max_size=k)
+    return st.lists(row | row.map(tuple), max_size=4)
+
+
+_JSON_TREES = st.recursive(
+    _SCALAR | _ROW | st.lists(_ROW, max_size=4) | st.integers(0, 3).flatmap(_rows_of_length),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    # The keys of one dict are of one kind, so that sorted() can order them.
+    | st.dictionaries(_TEXT, children, max_size=4)
+    | st.dictionaries(st.integers() | st.booleans() | st.floats(), children, max_size=4)
+    | st.dictionaries(st.none(), children, max_size=1),
+    max_leaves=24,
+)
+
+
+@PROPERTY
+@given(_JSON_TREES)
+@example(
+    {
+        "é\x00\n\"": [1, True, -2],
+        "f": (math.nan, math.inf, -math.inf, -0.0, 1e300),
+        "rows": [[1, 2], (3, 4)],
+        "ragged": [[1], [2, 3], []],
+        "empty": [[], []],
+        "bool row": [[1, True], [2, 3]],
+        "nested": {1: {True: {None: {}}}, 2.5: [{}]},
+    }
+)
+def test_render_matches_json_dumps(tree):
+    assert _render(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_render_rejects_what_json_rejects():
+    for bad in ({1, 2}, [[1], {2}], {"a": frozenset()}):
+        with pytest.raises(TypeError):
+            json.dumps(bad)
+        with pytest.raises(TypeError):
+            _render(bad)
