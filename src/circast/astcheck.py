@@ -6,32 +6,34 @@ coordinate permutations permute the relations) and axiom A2 (the principal
 regularity condition), producing the full tensor of intersection numbers
 p_{ijk}^l together with the three marginal parameter families.
 
-A2 and A3 read one table, the relation id of every triple laid out flat at
-x*n*n + y*n + z. verify_a2 bins, for every triple (x,y,z), each w in Omega by
-the ids of (w,y,z), (x,w,z), (x,y,w): three slices of the table, counted by
-one C-level Counter over their zip (O(n^4) work, almost all in C); the count
-vector must be constant across each relation. verify_a3 counts the pairs
-(id of t, id of g(t)) in one Counter per permutation g. The marginals are
-tensor sums over the bins of R3 = {(x,x,y)} and R1 = {(x,y,y)}: those bins
-count the completions of a pair of distinct points in each slot, and A2 makes
-them constant, so they need no recount.
+A1, A2 and A3 read one table, the relation id of every triple laid out flat
+at x*n*n + y*n + z, which `TriplePartition.validate` returns as it checks the
+partition. verify_a1 counts the ids in each row (x, y, .). verify_a2 bins, for
+every triple (x,y,z), each w in Omega by the ids of (w,y,z), (x,w,z), (x,y,w):
+three slices of the table, counted by one C-level Counter over their zip
+(O(n^4) work, almost all in C); the count vector must be constant across each
+relation. verify_a3 counts the pairs (id of t, id of g(t)) in one Counter per
+permutation g. The marginals are tensor sums over the bins of R3 = {(x,x,y)}
+and R1 = {(x,y,y)}: those bins count the completions of a pair of distinct
+points in each slot, and A2 makes them constant, so they need no recount.
 
 When the diagonal shift t -> t + (1,1,1) keeps every id in the table (tested
 row by row, never taken from the caller), it is an automorphism: it maps the
 w-column of t onto that of its image, so the two count vectors agree, and it
 commutes with each g, so the pair (id of t, id of g(t)) is constant on each
-shift orbit. An orbit has n triples and exactly one with x = 0, so both checks
-scan that fibre alone (A2 in O(n^3) in place of O(n^4)); A3 multiplies each
-pair count by n. The A2 scan is x-major and every relation meets x = 0, so the
-reference triples are those of the full scan; a failing triple shifted to
-x = 0 fails too and comes earlier, so the first witness is the same.
+shift orbit. An orbit has n triples and exactly one with x = 0, so all three
+checks scan that fibre alone (A1 in O(n^2) in place of O(n^3), A2 in O(n^3)
+in place of O(n^4)); A3 multiplies each pair count by n. The A2 scan is
+x-major and every relation meets x = 0, so the reference triples are those of
+the full scan; a failing triple shifted to x = 0 fails too and comes earlier,
+so the first witness is the same.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 from typing import Optional, Union
 
 from .circulant import SYM3, SYM3_NAME, EmptyIndexSet, sym3_image
@@ -120,40 +122,56 @@ class ASTReport:
         }
 
 
-def verify_a1(A: TriplePartition) -> Union[dict, AxiomFailure]:
+def verify_a1(A: TriplePartition, table: Optional[tuple] = None) -> Union[dict, AxiomFailure]:
     """The positive constants n_i^(3) for each nontrivial relation, or a
     witness pair with two differing counts: the count of z with (x,y,z) in
-    the relation must be one positive value over all ordered pairs x != y."""
-    out = {}
+    the relation must be one positive value over all ordered pairs x != y.
+
+    Each row (x, y, .) of the table is counted once, in lexicographic order
+    from (0, 1); a failing relation's witness is the first pair whose count
+    differs. On a shift-closed table only the x = 0 rows are read: row
+    (x, y, .) is row (0, y-x, .) rotated, and (0, y-x) comes first. `table`
+    is ``_id_table(A)``, built here when not given; KeyError when A does not
+    cover the triple space."""
+    n = A.n
+    flat, orbit = table or _id_table(A)
+    ref = Counter(flat[n : 2 * n])  # the row of (0, 1)
+    first = {}  # relation id -> (pair, count) of its first differing row
+    for x, y in product(range(n // orbit), range(n)):
+        if x == y:
+            continue
+        start = (x * n + y) * n
+        counts = Counter(flat[start : start + n])
+        if not dict.__eq__(counts, ref):  # Counter's == runs in Python
+            for rid in counts.keys() | ref.keys():
+                if rid >= 4 and counts[rid] != ref[rid]:
+                    first.setdefault(rid, ((x, y), counts[rid]))
     for rid in range(4, len(A.relations)):
-        counts = Counter((x, y) for x, y, _ in A.relations[rid].triples)
-        ref = counts[(0, 1)]
-        for pair in permutations(range(A.n), 2):  # x != y, lexicographic: (0, 1) first
-            if counts[pair] != ref:
-                return AxiomFailure(
-                    "A1",
-                    {
-                        "relation": rid,
-                        "pair_a": (0, 1),
-                        "count_a": ref,
-                        "pair_b": pair,
-                        "count_b": counts[pair],
-                    },
-                )
-        if ref == 0:
+        if rid in first:
+            pair, count = first[rid]
+            return AxiomFailure(
+                "A1",
+                {
+                    "relation": rid,
+                    "pair_a": (0, 1),
+                    "count_a": ref[rid],
+                    "pair_b": pair,
+                    "count_b": count,
+                },
+            )
+        if ref[rid] == 0:
             return AxiomFailure("A1", {"relation": rid, "reason": "zero count"})
-        out[rid] = ref
-    return out
+    return {rid: ref[rid] for rid in range(4, len(A.relations))}
 
 
-def _id_table(A: TriplePartition) -> tuple[list, int]:
+def _id_table(A: TriplePartition, flat: Optional[list] = None) -> tuple[list, int]:
     """The relation id of every triple, at x*n*n + y*n + z, and the number of
     triples each scanned triple stands for: n when the table is shift-closed
-    (only the x = 0 fibre is scanned), else 1; KeyError on a triple in no
-    relation."""
+    (only the x = 0 fibre is scanned), else 1. `flat` is ``A.triple_ids()``,
+    built here when not given; KeyError on a triple in no relation."""
     n = A.n
-    ids = A.triple_ids()
-    flat = [ids[t] for t in product(range(n), repeat=3)]
+    if flat is None:
+        flat = A.triple_ids()
     rows = [flat[start : start + n] for start in range(0, n**3, n)]  # (x, y, .) at x*n + y
     closed = all(  # row (x+1, y+1, .) is row (x, y, .) rotated right by one
         rows[(x + 1) % n * n + (y + 1) % n] == row[-1:] + row[:-1]
@@ -271,17 +289,17 @@ def derived_parameters(t: StructureTensor) -> tuple[dict, dict]:
 def verify_ast(A: TriplePartition) -> ASTReport:
     """Run the full verification pipeline, short-circuiting on failure."""
     try:
-        A.validate()
+        flat = A.validate()
     except ValueError as exc:
         return ASTReport(False, failures=[AxiomFailure("partition", {"reason": str(exc)})])
     if not verify_trivial(A):
         return ASTReport(
             False, failures=[AxiomFailure("trivial", {"reason": "ids 0..3 are not R0..R3"})]
         )
-    a1 = verify_a1(A)
+    table = _id_table(A, flat)
+    a1 = verify_a1(A, table)
     if isinstance(a1, AxiomFailure):
         return ASTReport(False, failures=[a1])
-    table = _id_table(A)
     a3 = verify_a3(A, table)
     if isinstance(a3, AxiomFailure):
         return ASTReport(False, failures=[a3])

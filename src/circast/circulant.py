@@ -49,17 +49,9 @@ class EmptyIndexSet(CircastError, ValueError):
 class NotCirculant(CircastError):
     """A relation is not closed under the simultaneous +1 shift."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotNontrivial(CircastError):
     """A relation contains a triple with a repeated coordinate."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotASTRegular(CircastError):
@@ -72,10 +64,6 @@ class NotASTRegular(CircastError):
 
 class NotCirculantAST(CircastError):
     """A triple partition is not a circulant scheme."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 # --- the Sym(3) action -------------------------------------------------------

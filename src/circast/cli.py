@@ -29,7 +29,6 @@ from json.encoder import encode_basestring_ascii
 
 from .astcheck import symmetrise, verify_ast
 from .circulant import (
-    EmptyIndexSet,
     NotASTRegular,
     NotCirculant,
     NotCirculantAST,
@@ -42,7 +41,6 @@ from .core import (
     INDEX_N_CAP,
     SEARCH_N_CAP,
     TRIPLE_N_CAP,
-    DomainTooSmall,
     IndexPartition,
     PairSet,
     TernaryRelation,
@@ -51,12 +49,12 @@ from .core import (
     make_domain,
     strict_int,
 )
-from .groups import GroupSpec, MalformedCycles, NotPrime, agl1, orbit_partition_on_triples, shift_invariance_check
+from .groups import GroupSpec, agl1, orbit_partition_on_triples, shift_invariance_check
 from .search import SearchConfig, search_ast_regular
 from .thin import NotRegular, NotThin, matching_decomposition, thin_profile, thin_witness
 
 _NEGATIVE_ERRORS = (NotASTRegular, NotCirculantAST, NotCirculant, NotNontrivial, NotRegular, NotThin)
-_INPUT_ERRORS = (DomainTooSmall, EmptyIndexSet, MalformedCycles, NotPrime, ValueError, KeyError, TypeError, OSError)
+_INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
 def _load(path: str):

@@ -14,6 +14,7 @@ contents: equal values compare equal and serialise to identical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Optional
 
 Pair = tuple[int, int]
@@ -21,7 +22,12 @@ Triple = tuple[int, int, int]
 
 
 class CircastError(Exception):
-    """Base class for the errors raised by this package."""
+    """Base class for the errors raised by this package; `witness`, when
+    given, is the object that shows the failure."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class DomainTooSmall(CircastError, ValueError):
@@ -281,25 +287,28 @@ class TriplePartition:
     def m(self) -> int:
         return len(self.relations) - 1
 
-    def triple_ids(self) -> dict:
-        """Map each triple to the id of the relation containing it."""
-        out = {}
+    def triple_ids(self) -> list:
+        """The id of the relation holding each triple, laid out flat at
+        x*n*n + y*n + z; KeyError on a triple in no relation."""
+        ids: dict = {}
         for rid, rel in enumerate(self.relations):
-            for t in rel.triples:
-                out[t] = rid
-        return out
+            ids.update(dict.fromkeys(rel.triples, rid))
+        return list(map(ids.__getitem__, product(range(self.n), repeat=3)))
 
-    def validate(self) -> None:
-        """Check nonempty relations, pairwise disjoint, union = Omega^3."""
-        total = 0
-        union = set()
+    def validate(self) -> list:
+        """Check nonempty relations, pairwise disjoint, union = Omega^3, and
+        return the table of :meth:`triple_ids`. Relations that cover Omega^3
+        with sizes summing to n^3 leave no room for an overlap or for a
+        triple outside Omega^3."""
         for rid, rel in enumerate(self.relations):
             if len(rel) == 0:
                 raise ValueError(f"relation {rid} is empty")
-            total += len(rel)
-            union |= rel.triples
-        if total != self.n ** 3 or len(union) != self.n ** 3:
-            raise ValueError("relations do not partition the triple space")
+        if sum(map(len, self.relations)) == self.n**3:
+            try:
+                return self.triple_ids()
+            except KeyError:
+                pass
+        raise ValueError("relations do not partition the triple space")
 
     def to_obj(self) -> dict:
         return {

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 
 from .circulant import is_circulant
 from .core import TRIPLE_N_CAP, CircastError, TernaryRelation, TriplePartition, make_domain, strict_int, trivial_relations
@@ -114,6 +115,21 @@ class GroupSpec:
         return cls(n, tuple(parse_cycles(text, n) for text in obj["generators"]))
 
 
+def _orbit(G: GroupSpec, start: tuple) -> set:
+    """The orbit of a tuple of two or more points under G acting on each
+    coordinate: the closure of {start} under the generators."""
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        image = itemgetter(*frontier.pop())  # a tuple, as it reads two or more
+        for g in G.generators:
+            img = image(g.images)
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return orbit
+
+
 def orbit_partition_on_triples(G: GroupSpec) -> TriplePartition:
     """The candidate scheme whose nontrivial relations are the orbits of G on
     pairwise-distinct triples, ids assigned by least triple."""
@@ -121,19 +137,10 @@ def orbit_partition_on_triples(G: GroupSpec) -> TriplePartition:
     seen: set = set()
     orbit_relations = []
     for t in permutations(range(G.n), 3):
-        if t in seen:
-            continue
-        orbit = {t}
-        frontier = [t]
-        while frontier:
-            cur = frontier.pop()
-            for g in G.generators:
-                img = (g.images[cur[0]], g.images[cur[1]], g.images[cur[2]])
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
-        orbit_relations.append(TernaryRelation(G.n, frozenset(orbit)))
+        if t not in seen:
+            orbit = _orbit(G, t)
+            seen |= orbit
+            orbit_relations.append(TernaryRelation(G.n, orbit))
     return TriplePartition(G.n, trivial_relations(d) + tuple(orbit_relations))
 
 
@@ -166,17 +173,7 @@ def is_two_transitive(G: GroupSpec) -> bool:
     n = G.n
     if n < 2:
         return False
-    start = (0, 1)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for g in G.generators:
-            img = (g.images[cur[0]], g.images[cur[1]])
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return len(orbit) == n * (n - 1)
+    return len(_orbit(G, (0, 1))) == n * (n - 1)
 
 
 def shift_invariance_check(A: TriplePartition) -> bool:

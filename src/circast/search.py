@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional
@@ -64,7 +64,7 @@ class SearchConfig:
     """Parameters of one search run. `dedupe` is "none" or "multiplier";
     `time_budget` is wall-clock seconds, exceeded budgets yield partial
     results with the completeness flag cleared. Out-of-range values raise
-    ValueError: limit >= 0, max_nI >= 1, time_budget > 0."""
+    ValueError: limit >= 0, max_nI >= 1, time_budget > 0 and finite."""
 
     n: int
     max_nI: Optional[int] = None
@@ -83,19 +83,11 @@ class SearchConfig:
             raise ValueError(f"limit must be >= 0, got {self.limit}")
         if self.max_nI is not None and self.max_nI < 1:
             raise ValueError(f"max_nI must be >= 1, got {self.max_nI}")
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise ValueError(f"time_budget must be > 0 seconds, got {self.time_budget}")
+        if self.time_budget is not None and not 0 < self.time_budget < math.inf:
+            raise ValueError(f"time_budget must be positive and finite, got {self.time_budget}")
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "max_nI": self.max_nI,
-            "require_all_thin": self.require_all_thin,
-            "require_symmetric": self.require_symmetric,
-            "dedupe": self.dedupe,
-            "limit": self.limit,
-            "time_budget": self.time_budget,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -29,10 +29,6 @@ class NotThin(CircastError):
 class NotRegular(CircastError):
     """The index set fails row/column regularity."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 AB_LABELS = ("12", "13", "23")
 

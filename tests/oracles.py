@@ -265,7 +265,7 @@ def reference_verify_a2(A):
     kept as the reference for circast.verify_a2: same scan order, witness
     and tensor."""
     n = A.n
-    ids = A.triple_ids()
+    ids = {t: rid for rid, rel in enumerate(A.relations) for t in rel.triples}
     reference = {}  # relation id -> (triple, count vector)
     for x in range(n):
         for y in range(n):

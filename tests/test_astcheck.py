@@ -236,6 +236,18 @@ def test_verify_ast_rejects_random_partition():
     assert report.failures
 
 
+def test_verify_ast_reports_a_triple_outside_the_triple_space():
+    """Relation sizes that sum to n^3 with one triple outside Omega^3 are a
+    "partition" failure, not a KeyError from the relation-id table."""
+    n = 4
+    outside = TernaryRelation(n, frozenset(distinct_triples(n) - {(0, 1, 2)} | {(0, 1, 9)}))
+    report = verify_ast(TriplePartition(n, trivial_relations(make_domain(n)) + (outside,)))
+    assert not report.ok
+    assert [f.to_obj() for f in report.failures] == [
+        {"axiom": "partition", "reason": "relations do not partition the triple space"}
+    ]
+
+
 def test_derived_parameters_and_identity_violation():
     report = verify_ast(coarse_ast(5))
     n1, n2 = derived_parameters(report.tensor)

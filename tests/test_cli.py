@@ -222,6 +222,7 @@ def test_search_flags():
         ["--max-ni", "0"],
         ["--timeout", "0"],
         ["--timeout=-1s"],
+        ["--timeout", "inf"],
         ["--jobs", "0"],
     ],
 )

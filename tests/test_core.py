@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -130,6 +131,13 @@ def test_triple_partition_validate_rejects_bad_input():
     bad = rels + [rels[0]]
     with pytest.raises(ValueError):
         TriplePartition(n, tuple(bad)).validate()
+    # the right sizes, but a triple outside Omega^3 stands in for (0, 1, 2)
+    n = 4
+    distinct = set(permutations(range(n), 3))
+    outside = TernaryRelation(n, frozenset(distinct - {(0, 1, 2)} | {(0, 1, 9)}))
+    part = TriplePartition(n, trivial_relations(make_domain(n)) + (outside,))
+    with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
+        part.validate()
 
 
 def test_triple_partition_from_obj_checks_ids():

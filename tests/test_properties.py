@@ -2,6 +2,7 @@
 search's candidate listing against the brute-force references.
 
 `is_ast_regular` and the search's node check bin every pair of X(n) once,
+`verify_a1` counts the ids in each row (x, y, .) of the relation-id table,
 `verify_a2` counts each triple's w-column with one Counter and reads the
 marginals off the tensor, `verify_a3` counts (id of t, id of g(t)) over the
 same relation-id table (on the x = 0 fibre alone when the diagonal shift
@@ -472,10 +473,11 @@ def test_checks_match_references_when_the_shift_moves_a_relation(n):
 @given(index_partitions())
 def test_checks_on_expanded_partitions_match_reference_scans(P):
     """Expanded partitions are shift-closed, so only the x = 0 fibre is
-    scanned, and most break A2 or A3: the one-fibre scans must give the
+    scanned, and most break A1, A2 or A3: the one-fibre scans must give the
     reference verdict, witness included."""
     A = expand_partition(P)
     assert _id_table(A)[1] == P.n
+    assert verify_a1(A) == oracles.reference_verify_a1(A)
     assert verify_a2(A) == oracles.reference_verify_a2(A)
     assert verify_a3(A) == oracles.reference_verify_a3(A)
 

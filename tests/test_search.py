@@ -210,7 +210,13 @@ def test_config_validation():
         SearchConfig(2)
     with pytest.raises(ValueError):
         SearchConfig(5, dedupe="frobnicate")
-    for bad in ({"limit": -1}, {"max_nI": 0}, {"time_budget": 0}, {"time_budget": float("nan")}):
+    for bad in (
+        {"limit": -1},
+        {"max_nI": 0},
+        {"time_budget": 0},
+        {"time_budget": float("nan")},
+        {"time_budget": float("inf")},
+    ):
         with pytest.raises(ValueError):
             SearchConfig(5, **bad)
     assert SearchConfig(5, limit=0, max_nI=1, time_budget=0.5).limit == 0
