@@ -7,18 +7,18 @@ regularity condition), producing the full tensor of intersection numbers
 p_{ijk}^l together with the three marginal parameter families.
 
 A1, A2 and A3 read one table, the relation id of every triple laid out flat
-at x*n*n + y*n + z, which `TriplePartition.validate` returns as it checks the
-partition. verify_a1 counts the ids in each row (x, y, .). verify_a2 bins, for
-every triple (x,y,z), each w in Omega by the ids of (w,y,z), (x,w,z), (x,y,w):
-three slices of the table, counted by one C-level Counter over their zip
-(O(n^4) work, almost all in C); the count vector must be constant across each
-relation. verify_a3 counts the pairs (id of t, id of g(t)) in one Counter per
+at x*n*n + y*n + z with its shift orbit: `TriplePartition.id_table`, which a
+partition builds once, when `validate` checks it, and keeps. verify_a1 counts
+the ids in each row (x, y, .). verify_a2 bins, for every triple (x,y,z), each
+w in Omega by the ids of (w,y,z), (x,w,z), (x,y,w): three slices of the table,
+counted by one C-level Counter over their zip (O(n^4) work, almost all in C);
+the count vector must be constant across each relation. verify_a3 counts the pairs (id of t, id of g(t)) in one Counter per
 permutation g. The marginals are tensor sums over the bins of R3 = {(x,x,y)}
 and R1 = {(x,y,y)}: those bins count the completions of a pair of distinct
 points in each slot, and A2 makes them constant, so they need no recount.
 
 When the diagonal shift t -> t + (1,1,1) keeps every id in the table (tested
-row by row, never taken from the caller), it is an automorphism: it maps the
+row by row as the table is built), it is an automorphism: it maps the
 w-column of t onto that of its image, so the two count vectors agree, and it
 commutes with each g, so the pair (id of t, id of g(t)) is constant on each
 shift orbit. An orbit has n triples and exactly one with x = 0, so all three
@@ -122,7 +122,7 @@ class ASTReport:
         }
 
 
-def verify_a1(A: TriplePartition, table: Optional[tuple] = None) -> Union[dict, AxiomFailure]:
+def verify_a1(A: TriplePartition) -> Union[dict, AxiomFailure]:
     """The positive constants n_i^(3) for each nontrivial relation, or a
     witness pair with two differing counts: the count of z with (x,y,z) in
     the relation must be one positive value over all ordered pairs x != y.
@@ -130,11 +130,10 @@ def verify_a1(A: TriplePartition, table: Optional[tuple] = None) -> Union[dict, 
     Each row (x, y, .) of the table is counted once, in lexicographic order
     from (0, 1); a failing relation's witness is the first pair whose count
     differs. On a shift-closed table only the x = 0 rows are read: row
-    (x, y, .) is row (0, y-x, .) rotated, and (0, y-x) comes first. `table`
-    is ``_id_table(A)``, built here when not given; KeyError when A does not
-    cover the triple space."""
+    (x, y, .) is row (0, y-x, .) rotated, and (0, y-x) comes first. KeyError
+    when A does not cover the triple space."""
     n = A.n
-    flat, orbit = table or _id_table(A)
+    flat, orbit = A.id_table
     ref = Counter(flat[n : 2 * n])  # the row of (0, 1)
     first = {}  # relation id -> (pair, count) of its first differing row
     for x, y in product(range(n // orbit), range(n)):
@@ -164,33 +163,16 @@ def verify_a1(A: TriplePartition, table: Optional[tuple] = None) -> Union[dict, 
     return {rid: ref[rid] for rid in range(4, len(A.relations))}
 
 
-def _id_table(A: TriplePartition, flat: Optional[list] = None) -> tuple[list, int]:
-    """The relation id of every triple, at x*n*n + y*n + z, and the number of
-    triples each scanned triple stands for: n when the table is shift-closed
-    (only the x = 0 fibre is scanned), else 1. `flat` is ``A.triple_ids()``,
-    built here when not given; KeyError on a triple in no relation."""
-    n = A.n
-    if flat is None:
-        flat = A.triple_ids()
-    rows = [flat[start : start + n] for start in range(0, n**3, n)]  # (x, y, .) at x*n + y
-    closed = all(  # row (x+1, y+1, .) is row (x, y, .) rotated right by one
-        rows[(x + 1) % n * n + (y + 1) % n] == row[-1:] + row[:-1]
-        for (x, y), row in zip(product(range(n), repeat=2), rows)
-    )
-    return flat, n if closed else 1
-
-
-def verify_a3(A: TriplePartition, table: Optional[tuple] = None) -> Union[dict, AxiomFailure]:
+def verify_a3(A: TriplePartition) -> Union[dict, AxiomFailure]:
     """The induced Sym(3) action on relation ids, or a witness (i, sigma)
     whose permuted relation is not a relation of the partition; KeyError
     when A does not cover the triple space.
 
     g maps R_i onto R_j exactly when it sends all |R_i| triples of R_i into
     R_j and |R_i| = |R_j|; one Counter over (id of t, id of g(t)) per g
-    decides this for every relation at once. `table` is ``_id_table(A)``,
-    built here when not given."""
+    decides this for every relation at once."""
     n = A.n
-    flat, orbit = table or _id_table(A)
+    flat, orbit = A.id_table
     size = [len(rel) for rel in A.relations]
     images = {}
     for g in SYM3:
@@ -212,19 +194,17 @@ def verify_a3(A: TriplePartition, table: Optional[tuple] = None) -> Union[dict, 
     return action
 
 
-def verify_a2(
-    A: TriplePartition, table: Optional[tuple] = None
-) -> Union[StructureTensor, AxiomFailure]:
+def verify_a2(A: TriplePartition) -> Union[StructureTensor, AxiomFailure]:
     """The full tensor p_{ijk}^l, or two witness triples in one relation with
     different count vectors.
 
     Needs the trivial layout (ids 0..3 are R0..R3, as :func:`verify_ast`
-    checks first): the marginals are read off the constant bins of R1 and R3.
-    `table` is ``_id_table(A)``, built here when not given.
+    checks first): the marginals are read off the constant bins of R1 and R3;
+    KeyError when A does not cover the triple space.
     """
     n = A.n
     nn = n * n
-    flat, orbit = table or _id_table(A)
+    flat, orbit = A.id_table
     first = [[flat[y * n + z :: nn] for z in range(n)] for y in range(n)]  # ids of (w,y,z)
     reference: dict = {}  # relation id -> (triple, count vector)
     for x in range(n // orbit):
@@ -289,21 +269,20 @@ def derived_parameters(t: StructureTensor) -> tuple[dict, dict]:
 def verify_ast(A: TriplePartition) -> ASTReport:
     """Run the full verification pipeline, short-circuiting on failure."""
     try:
-        flat = A.validate()
+        A.validate()
     except ValueError as exc:
         return ASTReport(False, failures=[AxiomFailure("partition", {"reason": str(exc)})])
     if not verify_trivial(A):
         return ASTReport(
             False, failures=[AxiomFailure("trivial", {"reason": "ids 0..3 are not R0..R3"})]
         )
-    table = _id_table(A, flat)
-    a1 = verify_a1(A, table)
+    a1 = verify_a1(A)
     if isinstance(a1, AxiomFailure):
         return ASTReport(False, failures=[a1])
-    a3 = verify_a3(A, table)
+    a3 = verify_a3(A)
     if isinstance(a3, AxiomFailure):
         return ASTReport(False, failures=[a3])
-    a2 = verify_a2(A, table)
+    a2 = verify_a2(A)
     if isinstance(a2, AxiomFailure):
         return ASTReport(False, a3_action=a3, failures=[a2])
     try:

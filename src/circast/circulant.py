@@ -160,26 +160,26 @@ def expand(I: PairSet) -> TernaryRelation:
     return TernaryRelation(n, triples)
 
 
+def _unshifted(R: TernaryRelation) -> set:
+    """The triples of R whose coordinate-wise +1 shift mod n is not in R."""
+    n, triples = R.n, R.triples
+    return {t for t in triples if ((t[0] + 1) % n, (t[1] + 1) % n, (t[2] + 1) % n) not in triples}
+
+
 def is_circulant(R: TernaryRelation) -> bool:
     """True iff R is closed under the coordinate-wise +1 shift mod n."""
-    n = R.n
-    return all(((x + 1) % n, (y + 1) % n, (z + 1) % n) in R.triples for (x, y, z) in R.triples)
+    return not _unshifted(R)
 
 
 def extract(R: TernaryRelation) -> PairSet:
     """The unique index set I with R = R_I; inverse of :func:`expand`."""
     if len(R) == 0:
         raise ValueError("cannot extract from an empty relation")
-    n = R.n
-    for t in R.sorted_triples():
-        x, y, z = t
-        if x == y or y == z or x == z:
-            raise NotNontrivial(f"triple {t} has a repeated coordinate", witness=t)
-    for t in R.sorted_triples():
-        shifted = ((t[0] + 1) % n, (t[1] + 1) % n, (t[2] + 1) % n)
-        if shifted not in R.triples:
-            raise NotCirculant(f"shift of {t} is missing", witness=t)
-    return PairSet.from_pairs(n, ((y, z) for (x, y, z) in R.triples if x == 0))
+    if (t := min((t for t in R.triples if len(set(t)) < 3), default=None)) is not None:
+        raise NotNontrivial(f"triple {t} has a repeated coordinate", witness=t)
+    if (t := min(_unshifted(R), default=None)) is not None:
+        raise NotCirculant(f"shift of {t} is missing", witness=t)
+    return PairSet.from_pairs(R.n, ((y, z) for (x, y, z) in R.triples if x == 0))
 
 
 # --- regularity of index sets ------------------------------------------------

@@ -58,10 +58,13 @@ _INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
 def _load(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _scalar(obj) -> str:
@@ -260,7 +263,7 @@ def cmd_search(args) -> int:
         require_symmetric=args.symmetric,
         dedupe=args.dedupe,
         limit=args.limit,
-        time_budget=_parse_seconds(args.timeout) if args.timeout else None,
+        time_budget=None if args.timeout is None else _parse_seconds(args.timeout),
     )
     result = search_ast_regular(config, jobs=args.jobs)
     if args.format == "json":

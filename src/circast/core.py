@@ -8,12 +8,14 @@ of residues. Index sets live inside the pair universe
 and are stored as bitmasks keyed by the lexicographic rank of (i, j) in X(n),
 so the subset/disjointness/union tests that the search leans on are single
 integer operations. Relations and the two partition types canonicalise their
-contents: equal values compare equal and serialise to identical JSON.
+contents: equal values compare equal and serialise to identical JSON. A triple
+partition builds its relation-id table once, outside equality and hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
@@ -295,17 +297,32 @@ class TriplePartition:
             ids.update(dict.fromkeys(rel.triples, rid))
         return list(map(ids.__getitem__, product(range(self.n), repeat=3)))
 
-    def validate(self) -> list:
-        """Check nonempty relations, pairwise disjoint, union = Omega^3, and
-        return the table of :meth:`triple_ids`. Relations that cover Omega^3
-        with sizes summing to n^3 leave no room for an overlap or for a
-        triple outside Omega^3."""
+    @cached_property
+    def id_table(self) -> tuple[list, int]:
+        """The table of :meth:`triple_ids` and the number of triples each
+        triple of the fibre x = 0 stands for: n when the diagonal shift keeps
+        every id, else 1. Built once; KeyError on a triple in no relation."""
+        n = self.n
+        flat = self.triple_ids()
+        rows = [flat[start : start + n] for start in range(0, n**3, n)]  # (x, y, .) at x*n + y
+        closed = all(  # row (x+1, y+1, .) is row (x, y, .) rotated right by one
+            rows[(x + 1) % n * n + (y + 1) % n] == row[-1:] + row[:-1]
+            for (x, y), row in zip(product(range(n), repeat=2), rows)
+        )
+        return flat, n if closed else 1
+
+    def validate(self) -> None:
+        """Check nonempty relations, pairwise disjoint, union = Omega^3: the
+        sizes must sum to n^3, checked before anything of size n is built, and
+        :attr:`id_table` must build, which leaves no room for an overlap or
+        for a triple outside Omega^3."""
         for rid, rel in enumerate(self.relations):
             if len(rel) == 0:
                 raise ValueError(f"relation {rid} is empty")
         if sum(map(len, self.relations)) == self.n**3:
             try:
-                return self.triple_ids()
+                self.id_table
+                return
             except KeyError:
                 pass
         raise ValueError("relations do not partition the triple space")

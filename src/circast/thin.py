@@ -36,19 +36,20 @@ AB_LABELS = ("12", "13", "23")
 _AB_POS = {"12": (0, 1, 2), "13": (0, 2, 1), "23": (1, 2, 0)}
 
 
+def _is_thin(R: TernaryRelation, ab: str) -> bool:
+    """True iff the (a,b)-projection of R is a bijection onto the off-diagonal pairs."""
+    n = R.n
+    if len(R) != n * (n - 1):
+        return False
+    a, b, _ = _AB_POS[ab]
+    proj = {(t[a], t[b]) for t in R.triples}
+    return len(proj) == len(R) and proj.isdisjoint(zip(range(n), range(n)))
+
+
 def thin_profile(R: TernaryRelation) -> frozenset:
     """The labels ab for which the (a,b)-projection of R is a bijection onto
     the off-diagonal pairs."""
-    n = R.n
-    if len(R) != n * (n - 1):
-        return frozenset()
-    labels = []
-    for ab in AB_LABELS:
-        a, b, _ = _AB_POS[ab]
-        proj = {(t[a], t[b]) for t in R.triples}
-        if len(proj) == len(R) and all(u != v for (u, v) in proj):
-            labels.append(ab)
-    return frozenset(labels)
+    return frozenset(ab for ab in AB_LABELS if _is_thin(R, ab))
 
 
 @dataclass
@@ -88,7 +89,7 @@ def thin_witness(R: TernaryRelation, ab: str) -> ThinWitness:
     if ab not in AB_LABELS:
         raise ValueError(f"ab must be one of {AB_LABELS}, got {ab!r}")
     n = R.n
-    if ab not in thin_profile(R):
+    if not _is_thin(R, ab):
         raise NotThin(f"relation is not {ab}-thin")
     a, b, c = _AB_POS[ab]
     rho = {}

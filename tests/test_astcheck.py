@@ -248,6 +248,18 @@ def test_verify_ast_reports_a_triple_outside_the_triple_space():
     ]
 
 
+def test_verify_ast_builds_the_relation_id_table_once(monkeypatch):
+    """from_obj checks the partition by building its table, and the axiom
+    checks read that same table: one triple_ids scan per partition."""
+    calls = []
+    triple_ids = TriplePartition.triple_ids
+    monkeypatch.setattr(TriplePartition, "triple_ids", lambda A: calls.append(A) or triple_ids(A))
+    for A in (coarse_ast(5), affine_ast(7)):
+        calls.clear()
+        assert verify_ast(TriplePartition.from_obj(A.to_obj())).ok
+        assert len(calls) == 1
+
+
 def test_derived_parameters_and_identity_violation():
     report = verify_ast(coarse_ast(5))
     n1, n2 = derived_parameters(report.tensor)

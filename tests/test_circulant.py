@@ -157,6 +157,28 @@ def test_extract_rejects_trivial_and_noncirculant():
     assert info.value.witness == (0, 1, 2)
 
 
+def test_extract_witness_is_the_least_offending_triple():
+    """Against a sorted scan: a repeated coordinate is reported before a
+    missing shift, each by its least triple."""
+    rng = random.Random(157)
+    for _ in range(200):
+        n = rng.randrange(3, 7)
+        R = TernaryRelation(n, frozenset(
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(1, 12))
+        ))
+        repeated = [t for t in sorted(R.triples) if len(set(t)) < 3]
+        unshifted = [t for t in sorted(R.triples) if tuple((c + 1) % n for c in t) not in R]
+        assert is_circulant(R) == (not unshifted)
+        for error, offenders in ((NotNontrivial, repeated), (NotCirculant, unshifted)):
+            if offenders:
+                with pytest.raises(error) as info:
+                    extract(R)
+                assert info.value.witness == offenders[0]
+                break
+        else:
+            assert expand(extract(R)) == R
+
+
 def test_is_circulant():
     assert is_circulant(trivial_relations(make_domain(5))[0])
     assert not is_circulant(TernaryRelation.from_triples(4, [(0, 1, 2)]))

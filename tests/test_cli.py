@@ -224,6 +224,8 @@ def test_search_flags():
         ["--timeout=-1s"],
         ["--timeout", "inf"],
         ["--jobs", "0"],
+        ["--timeout", ""],
+        ["--timeout", "s"],
     ],
 )
 def test_search_rejects_out_of_range_arguments(flags, capsys):
@@ -292,6 +294,29 @@ def test_jobs_above_the_bound_are_refused(monkeypatch, capsys):
     code, out = run(["search", "--n", "5", "--jobs", str(search_module.MAX_JOBS + 1)])
     assert code == 2 and out == "" and started == []
     assert f"between 1 and {search_module.MAX_JOBS}" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run(["verify-partition", "--in", str(path)])
+    assert code == 2 and out == ""
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, obj, code",
+    [
+        ("verify-ast", {"n": 10**12, "relations": [{"id": 0, "triples": [[0, 0, 0]]}]}, 2),
+        ("extract", {"n": 10**12, "relations": [{"id": 0, "triples": [[0, 0, 0]]}]}, 2),
+        ("params", {"n": 10**12, "relations": [{"id": 0, "triples": [[0, 0, 0]]}]}, 2),
+        ("thin", {"n": 10**12, "triples": [[0, 1, 2]]}, 0),
+    ],
+)
+def test_triple_input_needs_no_n_cap(tmp_path, command, obj, code):
+    """Triple and relation input builds nothing of size n before its triple
+    count is checked against n^3 (n(n-1) for thin), so a huge n is cheap."""
+    assert run([command, "--in", write_json(tmp_path, "in.json", obj)])[0] == code
 
 
 def _n3_scheme_with_id(bad_id):

@@ -152,6 +152,17 @@ def test_triple_partition_from_obj_checks_ids():
         TriplePartition.from_obj(obj)
 
 
+def test_cached_id_table_leaves_equality_and_hash_alone():
+    n = 4
+    rels = trivial_relations(make_domain(n))
+    distinct = TernaryRelation(n, frozenset(permutations(range(n), 3)))
+    checked, fresh = TriplePartition(n, rels + (distinct,)), TriplePartition(n, rels + (distinct,))
+    checked.validate()
+    assert "id_table" in vars(checked) and "id_table" not in vars(fresh)
+    assert checked == fresh and hash(checked) == hash(fresh)
+    assert checked.id_table == fresh.id_table == (checked.triple_ids(), n)
+
+
 def test_index_partition_canonicalises_and_validates():
     n = 4
     a = PairSet.from_pairs(n, [(1, 3), (2, 1), (3, 2)])

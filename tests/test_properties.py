@@ -51,7 +51,6 @@ from circast import (
     verify_a2,
     verify_a3,
 )
-from circast.astcheck import _id_table
 from circast.cli import _render
 from circast.circulant import pair_bins
 from circast.search import _Search
@@ -464,7 +463,7 @@ def test_checks_match_references_when_the_shift_moves_a_relation(n):
             for through_0 in (True, False)
         ),
     )
-    assert _id_table(A)[1] == 1
+    assert A.id_table[1] == 1
     assert verify_a2(A) == oracles.reference_verify_a2(A)
     assert verify_a3(A) == oracles.reference_verify_a3(A)
 
@@ -476,7 +475,7 @@ def test_checks_on_expanded_partitions_match_reference_scans(P):
     scanned, and most break A1, A2 or A3: the one-fibre scans must give the
     reference verdict, witness included."""
     A = expand_partition(P)
-    assert _id_table(A)[1] == P.n
+    assert A.id_table[1] == P.n
     assert verify_a1(A) == oracles.reference_verify_a1(A)
     assert verify_a2(A) == oracles.reference_verify_a2(A)
     assert verify_a3(A) == oracles.reference_verify_a3(A)

@@ -40,6 +40,27 @@ def test_thin_relations_have_n_times_n_minus_1_triples():
     assert len(r1) == n * (n - 1) and thin_profile(r1)
 
 
+def test_thin_profile_matches_a_projection_scan():
+    """Relations of n(n-1) triples, some with diagonal or repeated
+    projections: each label holds iff its projection is the off-diagonal set."""
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randrange(3, 6)
+        pool = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+        off = [t for t in pool if t[0] != t[1]]
+        R = TernaryRelation(n, frozenset(rng.sample(rng.choice((pool, off)), n * (n - 1))))
+        off_diagonal = {(u, v) for u in range(n) for v in range(n) if u != v}
+        expected = {
+            ab for ab, (a, b) in (("12", (0, 1)), ("13", (0, 2)), ("23", (1, 2)))
+            if sorted((t[a], t[b]) for t in R.triples) == sorted(off_diagonal)
+        }
+        assert thin_profile(R) == expected
+        for ab in ("12", "13", "23"):
+            if ab not in expected:
+                with pytest.raises(NotThin):
+                    thin_witness(R, ab)
+
+
 def test_affine_parts_are_thin_for_all_three_pairs():
     P = oracles.multiplicative_orbit_partition(5)
     for part in P.parts:
