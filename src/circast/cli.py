@@ -15,7 +15,9 @@ Every capability is a subcommand over the JSON file formats of the library:
     circast params --in ast.json
 
 Exit codes: 0 success, 1 verification-negative, 2 usage or input error.
-Reports go to stdout (JSON with --format=json), diagnostics to stderr.
+Reports go to stdout or the --out file (JSON with --format=json), written in
+pieces of at most ROWS list items with the bytes of json.dumps(indent=2,
+sort_keys=True); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
+from contextlib import nullcontext
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .astcheck import symmetrise, verify_ast
@@ -51,20 +54,21 @@ from .core import (
 )
 from .groups import GroupSpec, agl1, orbit_partition_on_triples, shift_invariance_check
 from .search import SearchConfig, search_ast_regular
-from .thin import NotRegular, NotThin, matching_decomposition, thin_profile, thin_witness
+from .thin import NotRegular, NotThin, _read_witness, matching_decomposition, thin_profile
 
 _NEGATIVE_ERRORS = (NotASTRegular, NotCirculantAST, NotCirculant, NotNontrivial, NotRegular, NotThin)
 _INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
-def _load(path: str):
+def _load(path: str) -> dict:
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "r", encoding="utf-8") if path != "-" else nullcontext(sys.stdin) as handle:
+            obj = json.load(handle)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: input must be a JSON object")
+    return obj
 
 
 def _scalar(obj) -> str:
@@ -81,45 +85,60 @@ def _scalar(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _each(values, inner: str):
-    """The texts of the values, one C-level map when all are plain ints."""
-    if set(map(type, values)) == {int}:
-        return map(int.__repr__, values)
-    return [_render(value, inner) for value in values]
+ROWS = 2048  # items of one list or dict per piece handed to write
 
 
-def _render(obj, indent: str = "\n") -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte.
-    Plain ints are written by one C-level map per list or dict, and a list of
-    equal-length plain-int lists (triples, pairs, tensor rows) by one % format."""
+def _write(obj, indent: str, write) -> None:
+    """Pass the text of json.dumps(obj, indent=2, sort_keys=True) to write in
+    pieces, byte for byte. A list or dict goes ROWS items at a time: plain ints
+    by one C-level map, equal-length plain-int lists (triples, pairs, tensor
+    rows) by one % format, anything else item by item."""
     if not isinstance(obj, (dict, list, tuple)):
-        return _scalar(obj)
+        write(_scalar(obj))
+        return
     if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
+        write("{}" if isinstance(obj, dict) else "[]")
+        return
     inner = indent + "  "
-    if isinstance(obj, dict):
-        keys, values = zip(*sorted(obj.items()))
-        heads = [encode_basestring_ascii(key if isinstance(key, str) else _scalar(key)) + ": " for key in keys]
-        return "{" + inner + ("," + inner).join(map(str.__add__, heads, _each(values, inner))) + indent + "}"
     separator = "," + inner
-    if set(map(type, obj)) <= {list, tuple} and len(lengths := set(map(len, obj))) == 1 and 0 not in lengths and (
-        set(map(type, flat := tuple(chain.from_iterable(obj)))) <= {int}
-    ):
-        row = inner + "  "
-        item = "[" + row + ("," + row).join(["%d"] * lengths.pop()) + inner + "]"
-        body = separator.join([item] * len(obj)) % flat
-    else:
-        body = separator.join(_each(obj, inner))
-    return "[" + inner + body + indent + "]"
+    heads = None
+    if isinstance(obj, dict):
+        keys, obj = zip(*sorted(obj.items()))
+        heads = [encode_basestring_ascii(key if isinstance(key, str) else _scalar(key)) + ": " for key in keys]
+    lead = ("[" if heads is None else "{") + inner
+    for start in range(0, len(obj), ROWS):
+        chunk = obj[start : start + ROWS]
+        part = None if heads is None else heads[start : start + ROWS]
+        if heads is None and set(map(type, chunk)) <= {list, tuple} and len(lengths := set(map(len, chunk))) == 1 and (
+            0 not in lengths and set(map(type, flat := tuple(chain.from_iterable(chunk)))) <= {int}
+        ):
+            row = inner + "  "
+            item = "[" + row + ("," + row).join(["%d"] * lengths.pop()) + inner + "]"
+            write(lead + separator.join([item] * len(chunk)) % flat)
+        elif set(map(type, chunk)) == {int}:
+            texts = map(int.__repr__, chunk)
+            write(lead + separator.join(texts if part is None else map(str.__add__, part, texts)))
+        else:
+            for head, value in zip(part or repeat(""), chunk):
+                write(lead + head)
+                _write(value, inner, write)
+                lead = separator
+        lead = separator
+    write(indent + ("]" if heads is None else "}"))
+
+
+def _render(obj) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte."""
+    pieces: list = []
+    _write(obj, "\n", pieces.append)
+    return "".join(pieces)
 
 
 def _emit(obj, out_path: str | None = None) -> None:
-    text = _render(obj)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    """Write the report and a newline to out_path, or to stdout, in pieces."""
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as handle:
+        _write(obj, "\n", handle.write)
+        handle.write("\n")
 
 
 def _parse_seconds(text: str) -> float:
@@ -196,7 +215,7 @@ def _thin_entry(rid, rel) -> dict:
     witnesses = {}
     for ab in profile:
         try:
-            witnesses[ab] = thin_witness(rel, ab).to_obj()
+            witnesses[ab] = _read_witness(rel, ab).to_obj()
         except NotThin:
             witnesses[ab] = None
     return {"id": rid, "profile": profile, "witnesses": witnesses}
@@ -393,7 +412,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: input has no key {exc}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -88,9 +88,14 @@ def thin_witness(R: TernaryRelation, ab: str) -> ThinWitness:
     regenerates R; the derangement flag marks nontrivial relations."""
     if ab not in AB_LABELS:
         raise ValueError(f"ab must be one of {AB_LABELS}, got {ab!r}")
-    n = R.n
     if not _is_thin(R, ab):
         raise NotThin(f"relation is not {ab}-thin")
+    return _read_witness(R, ab)
+
+
+def _read_witness(R: TernaryRelation, ab: str) -> ThinWitness:
+    """thin_witness for a relation already known to be ab-thin."""
+    n = R.n
     a, b, c = _AB_POS[ab]
     rho = {}
     for t in R.triples:

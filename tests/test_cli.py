@@ -5,6 +5,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import circast.search as search_module
+import circast.thin as thin_module
 from circast import IndexPartition, PairSet, build_ast
 from circast.cli import main
 
@@ -345,6 +346,47 @@ def test_json_input_needs_strict_integers(tmp_path, command, obj):
     flag = "--group" if command == "orbits" else "--in"
     code, out = run([command, flag, path])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "command, obj, key",
+    [
+        ("verify-ast", {"n": 4}, "relations"),
+        ("verify-ast", {"n": 3, "relations": [{"id": 0}]}, "triples"),
+        ("thin", {"n": 3, "relations": [{"triples": [[0, 1, 2]]}]}, "id"),
+        ("verify-partition", {"n": 4}, "parts"),
+        ("symmetrise", {"n": 4}, "pairs"),
+        ("decompose", {"pairs": [[1, 2]]}, "n"),
+        ("orbits", {"n": 4}, "generators"),
+    ],
+)
+def test_missing_key_is_named(tmp_path, command, obj, key, capsys):
+    flag = "--group" if command == "orbits" else "--in"
+    code, out = run([command, flag, write_json(tmp_path, "in.json", obj)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: input has no key '{key}'\n"
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [("thin", "relations"), ("verify-ast", [1, 2]), ("verify-partition", None), ("orbits", 5), ("build", [])],
+)
+def test_input_must_be_an_object(tmp_path, command, obj, capsys):
+    path = write_json(tmp_path, "in.json", obj)
+    flag = "--group" if command == "orbits" else "--in"
+    code, out = run([command, flag, path])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {path}: input must be a JSON object\n"
+
+
+def test_thin_tests_each_label_once(coarse5_files, monkeypatch):
+    """thin reads each witness without testing its label a second time."""
+    calls = []
+    is_thin = thin_module._is_thin
+    monkeypatch.setattr(thin_module, "_is_thin", lambda R, ab: calls.append(ab) or is_thin(R, ab))
+    code, obj = run_json(["thin", "--in", coarse5_files[1]])
+    assert code == 0 and len(calls) == 3 * len(obj["relations"])
+    assert sum(witness is not None for e in obj["relations"] for witness in e["witnesses"].values()) == 6
 
 
 def test_symmetrise(tmp_path):

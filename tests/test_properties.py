@@ -11,7 +11,8 @@ rank table; all must agree, verdict and witness, with the plain loops and set
 lookups in `oracles.py` and with `pair_image` applied pair by pair. The search's listing drops row prefixes by their index-map
 images and must yield the orbits that the unpruned listing in `oracles.py`
 keeps after testing each candidate's orbit. The CLI's JSON writer must give
-the bytes of `json.dumps(indent=2, sort_keys=True)`.
+the bytes of `json.dumps(indent=2, sort_keys=True)`, also when its lists and
+dicts are cut into chunks of one or two items.
 """
 
 import collections
@@ -51,6 +52,7 @@ from circast import (
     verify_a2,
     verify_a3,
 )
+from circast import cli
 from circast.cli import _render
 from circast.circulant import pair_bins
 from circast.search import _Search
@@ -540,3 +542,45 @@ def test_render_rejects_what_json_rejects():
             json.dumps(bad)
         with pytest.raises(TypeError):
             _render(bad)
+
+
+_CHUNKED = [
+    [[1, 2], [True, 3], [4, 5]],
+    [[1, 2], [3, 4], [5], [6], [7, 8, 9]],
+    [[1], [], [2], [[]], []],
+    [(1, 2), (3, 4), [5, 6], (7,), ()],
+    [1, 2, True, 3, None, [4, 5], -(2**70)],
+    {"a": 1, "b": 2, "c": True, "d": [1, (2, 3)], "e": 4, "f": {"g": [[1]]}},
+    ({"n": 3, "triples": [(0, 1, 2), (1, 2, 0), (2, 0, 1)]}, [], {}),
+]
+
+
+@PROPERTY
+@given(_JSON_TREES)
+@example(_CHUNKED)
+@pytest.mark.parametrize("rows", [1, 2])
+def test_render_matches_json_dumps_across_chunks(rows, tree):
+    """Lists and dicts longer than cli.ROWS are written chunk by chunk, each
+    chunk on the fast path that fits it; the bytes must not change."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "ROWS", rows)
+        assert _render(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("tree", [_CHUNKED, 7, [], {"x": [[0, 1, 2]] * 5}])
+def test_emit_writes_the_rendered_text_and_a_newline(tree, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ROWS", 2)
+    cli._emit(tree)
+    assert capsys.readouterr().out == _render(tree) + "\n"
+    out = tmp_path / "out.json"
+    cli._emit(tree, str(out))
+    assert out.read_text(encoding="utf-8") == _render(tree) + "\n"
+
+
+def test_no_piece_holds_more_than_rows_items():
+    """The n = 40 one-part scheme (64,000 triples) reaches write in pieces of
+    at most cli.ROWS triples, and no piece is a whole relation."""
+    pieces = []
+    cli._write(expand_partition(IndexPartition(40, (PairSet.universe(40),))).to_obj(), "\n", pieces.append)
+    assert max(piece.count("]") for piece in pieces) == cli.ROWS
+    assert sum(piece.count("]") for piece in pieces) == 40**3 + 5 + 1
