@@ -65,6 +65,14 @@ def strict_int(value, what: str, cap: Optional[int] = None) -> int:
     return value
 
 
+def json_typed(value, kind: type, what: str):
+    """The value itself if json.load made it a `kind` (list or dict); anything
+    else raises ValueError naming the field."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 def make_domain(n: int) -> Domain:
     """Validated constructor for :class:`Domain`."""
     return Domain(n)
@@ -181,7 +189,8 @@ class PairSet:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PairSet":
-        return cls.from_pairs(strict_int(obj["n"], "n", INDEX_N_CAP), obj["pairs"])
+        n = strict_int(obj["n"], "n", INDEX_N_CAP)
+        return cls.from_pairs(n, json_typed(obj["pairs"], list, "pairs"))
 
     def __repr__(self) -> str:
         return f"PairSet(n={self.n}, pairs={list(self.pairs())})"
@@ -241,7 +250,7 @@ class TernaryRelation:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TernaryRelation":
-        return cls.from_triples(strict_int(obj["n"], "n"), obj["triples"])
+        return cls.from_triples(strict_int(obj["n"], "n"), json_typed(obj["triples"], list, "triples"))
 
     def __repr__(self) -> str:
         return f"TernaryRelation(n={self.n}, size={len(self.triples)})"
@@ -339,13 +348,15 @@ class TriplePartition:
     @classmethod
     def from_obj(cls, obj: dict) -> "TriplePartition":
         n = strict_int(obj["n"], "n")
-        entries = obj["relations"]
+        entries = json_typed(obj["relations"], list, "relations")
+        entries = [json_typed(e, dict, f"relations[{k}]") for k, e in enumerate(entries)]
         ids = sorted(strict_int(e["id"], "relation id") for e in entries)
         if ids != list(range(len(entries))):
             raise ValueError("relation ids must be exactly 0..m")
         rels: list = [None] * len(entries)
-        for e in entries:
-            rels[e["id"]] = TernaryRelation.from_triples(n, e["triples"])
+        for k, e in enumerate(entries):
+            triples = json_typed(e["triples"], list, f"relations[{k}].triples")
+            rels[e["id"]] = TernaryRelation.from_triples(n, triples)
         part = cls(n, tuple(rels))
         part.validate()
         return part
@@ -384,7 +395,8 @@ class IndexPartition:
     @classmethod
     def from_obj(cls, obj: dict) -> "IndexPartition":
         n = strict_int(obj["n"], "n", INDEX_N_CAP)
-        parts = tuple(PairSet.from_pairs(n, block) for block in obj["parts"])
+        blocks = enumerate(json_typed(obj["parts"], list, "parts"))
+        parts = tuple(PairSet.from_pairs(n, json_typed(b, list, f"parts[{k}]")) for k, b in blocks)
         return cls(n, parts)
 
     def __repr__(self) -> str:

@@ -1,11 +1,11 @@
 """Exhaustive search for AST-regular partitions of the pair universe.
 
 The tree covers X(n) orbit by orbit: at each node the least uncovered pair is
-fixed, and the regular parts through it are listed row by row with their six
-index-map images. A row prefix is dropped once an image meets it and a finished
-row outside it: the part could then be neither fixed by that map nor disjoint
-from its image. A listed part's orbit is placed when its members are regular
-and pairwise disjoint.
+fixed, and `_Universe.regular_subsets` lists exactly the parts through it whose
+orbit under the six index maps can be placed (regular, pairwise disjoint
+images), or under `--symmetric` the parts that every map fixes. It counts pairs
+per row, column and difference and prunes row prefixes by their images, so no
+orbit test follows.
 Intersection-number constancy is checked at each node by the kernel of
 `is_ast_regular` (`circulant.pair_bins`) over the placed parts, with the
 uncovered pairs as one rest label: a placed orbit is kept only while every
@@ -41,7 +41,6 @@ from .circulant import (
     expand_partition,
     is_ast_regular,
     pair_bins,
-    regularity_stats,
     sym3_rank_maps,
 )
 from .core import (
@@ -130,32 +129,42 @@ class _Universe:
         maps = sym3_rank_maps(n)
         self.images = list(zip(*(maps[g] for g in SYM3 if g != IDENTITY)))
 
-    def regular_subsets(self, r: int, allowed: int, forced_rank: Optional[int] = None,
-                        closed: bool = False, deadline: Optional[float] = None) -> Iterator[tuple]:
-        """Pairs (mask, images) for the r-regular subsets of `allowed`, rows
-        filled in order with lexicographic column choices; optionally through
-        one forced pair. With `closed`, images holds the mask's five
-        non-identity index-map images, and a row prefix P is dropped as soon
-        as some image g(P) meets P and also a finished row outside P: the part
-        would have to be fixed by g and cannot be. Without it, images is ().
-        Raises TimeoutError once the deadline has passed."""
+    def regular_subsets(self, r: int, allowed: int, forced_rank: int, kind: str = "regular",
+                        deadline: Optional[float] = None) -> Iterator[tuple]:
+        """Pairs (mask, images) for r-regular subsets P of `allowed` through
+        the forced pair, rows filled in order with lexicographic column
+        choices. `kind` is "regular" (every such P, images ()), "placeable"
+        (the P whose orbit under the index maps can be placed, when the pairs
+        outside `allowed` are a union of orbits) or "fixed" (the P that every
+        map fixes); the last two give the five non-identity images of P.
+
+        Each row gets r pairs; a prefix is dropped once a column or, unless
+        regular, a difference (j - i) mod n needs more pairs than rows are
+        left. The maps send the rows, columns and differences of P to the rows
+        and columns of its images (tau(i, j) = (-i, j - i), T swaps the two),
+        so all six images are regular. A placeable prefix is dropped once an
+        image meets it and a finished row outside it, so at the end an image
+        that meets P is P and, the maps forming a group, any two images are
+        equal or disjoint. A fixed prefix is dropped once an image meets a
+        finished row outside it. Raises TimeoutError past the deadline."""
         n = self.n
-        forced_row = forced_col = None
-        if forced_rank is not None:
-            if not (allowed >> forced_rank) & 1:
-                return
-            forced_row, forced_col = self.pair_of[forced_rank]
+        forced_row, forced_col = self.pair_of[forced_rank]
+        placeable = kind != "regular"
+        fixed = kind == "fixed"
         rows = []
         for ranks in self.row_ranks:
             opts = [
-                (self.pair_of[rank][1], rank, self.images[rank] if closed else ())
+                (j, n + (j - i) % n, rank, self.images[rank] if placeable else ())
                 for rank in ranks
                 if (allowed >> rank) & 1
+                for i, j in (self.pair_of[rank],)
             ]
             if len(opts) < r:
                 return
             rows.append(opts)
-        need = [r] * n
+        # pairs still lacking in column c and difference d; a regular listing
+        # does not bound differences, so their counts start below 0
+        need = [0] + [r] * (n - 1) + [0] + [r if placeable else -n * n] * (n - 1)
 
         def rec(idx: int, mask: int, images: tuple) -> Iterator[tuple]:
             if deadline is not None and time.monotonic() > deadline:
@@ -163,28 +172,29 @@ class _Universe:
             if idx == n - 1:
                 yield mask, images
                 return
-            opts = [opt for opt in rows[idx] if need[opt[0]] > 0]
+            opts = [opt for opt in rows[idx] if need[opt[0]] and need[opt[1]]]
             rows_left = n - 2 - idx
-            here_forced = idx + 1 == forced_row
             finished = (1 << self.row_ranks[idx].stop) - 1
             for combo in combinations(opts, r):
-                if here_forced and all(c != forced_col for c, _, _ in combo):
+                if idx + 1 == forced_row and all(c != forced_col for c, _, _, _ in combo):
                     continue
                 new_mask = mask
                 new_images = images
-                for c, rank, image_ranks in combo:
+                for c, d, rank, image_ranks in combo:
                     need[c] -= 1
+                    need[d] -= 1
                     new_mask |= 1 << rank
                     new_images = tuple(m | 1 << q for m, q in zip(new_images, image_ranks))
                 outside = finished & ~new_mask
-                if all(need[x] <= rows_left for x in range(1, n)) and not any(
-                    m & new_mask and m & outside for m in new_images
+                if max(need) <= rows_left and not any(
+                    m & outside and (fixed or m & new_mask) for m in new_images
                 ):
                     yield from rec(idx + 1, new_mask, new_images)
-                for c, _, _ in combo:
+                for c, d, _, _ in combo:
                     need[c] += 1
+                    need[d] += 1
 
-        yield from rec(0, 0, (0,) * 5 if closed else ())
+        yield from rec(0, 0, (0,) * 5 if placeable else ())
 
 
 @lru_cache(maxsize=None)
@@ -210,42 +220,25 @@ class _Search:
     def __init__(self, n: int, max_r: int, symmetric_only: bool, deadline: Optional[float]):
         self.uni = _universe(n)
         self.max_r = max_r
-        self.symmetric_only = symmetric_only
+        self.kind = "fixed" if symmetric_only else "placeable"
         self.deadline = deadline
         self.found: list = []
         self.nodes = 0
         self.complete = True
 
     def branches(self, covered: int) -> Iterator[tuple]:
-        """Valid part orbits through the least uncovered pair; stops, with
-        `complete` cleared, once the listing finds the deadline passed."""
+        """The placeable part orbits through the least uncovered pair, one part
+        each when `symmetric_only`, as ascending masks; stops, with `complete`
+        cleared, once the listing finds the deadline passed."""
         uni = self.uni
         allowed = uni.full & ~covered
         target = (allowed & -allowed).bit_length() - 1
         try:
             for r in range(1, self.max_r + 1):
-                for mask, images in uni.regular_subsets(r, allowed, target, True, self.deadline):
-                    orbit = self._orbit(mask, images)
-                    if orbit is None:
-                        continue
-                    if self.symmetric_only and len(orbit) > 1:
-                        continue
-                    yield orbit
+                for mask, images in uni.regular_subsets(r, allowed, target, self.kind, self.deadline):
+                    yield tuple(sorted({mask, *images}))
         except TimeoutError:
             self.complete = False
-
-    def _orbit(self, mask: int, images: tuple) -> Optional[tuple]:
-        """The distinct parts among the mask and its images, provided they
-        are pairwise disjoint and all regular; None otherwise."""
-        orbit = sorted({mask, *images})
-        union = 0
-        for m in orbit:
-            if m & union:
-                return None
-            union |= m
-            if m != mask and not regularity_stats(PairSet(self.uni.n, m)).ok:
-                return None
-        return tuple(orbit)
 
     def place(self, parts: tuple, covered: int, orbit: tuple) -> None:
         """Add one orbit of parts if every quadruple of placed parts has a
@@ -254,10 +247,7 @@ class _Search:
         if any(varying for _, varying in pair_bins(self.uni.n, new_parts)):
             return
         self.nodes += 1
-        union = 0
-        for m in orbit:
-            union |= m
-        self.explore(new_parts, covered | union)
+        self.explore(new_parts, covered | sum(orbit))  # the parts are disjoint
 
     def explore(self, parts: tuple, covered: int) -> None:
         if covered == self.uni.full:
@@ -286,11 +276,7 @@ def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
         raise ValueError(f"jobs must be between 1 and {MAX_JOBS}, got {jobs}")
     start = time.monotonic()
     n = config.n
-    max_r = n - 2
-    if config.max_nI is not None:
-        max_r = min(max_r, config.max_nI)
-    if config.require_all_thin:
-        max_r = min(max_r, 1)
+    max_r = min(n - 2, config.max_nI or n, 1 if config.require_all_thin else n)
     deadline = start + config.time_budget if config.time_budget is not None else None
 
     root = _Search(n, max_r, config.require_symmetric, deadline)

@@ -379,6 +379,24 @@ def test_input_must_be_an_object(tmp_path, command, obj, capsys):
     assert capsys.readouterr().err == f"error: {path}: input must be a JSON object\n"
 
 
+@pytest.mark.parametrize(
+    "command, obj, message",
+    [
+        ("verify-ast", {"n": 3, "relations": [[0, 1, 2]]}, "relations[0] must be a JSON object"),
+        ("verify-ast", {"n": 3, "relations": {"id": 0}}, "relations must be a JSON array"),
+        ("verify-partition", {"n": 3, "parts": 5}, "parts must be a JSON array"),
+        ("verify-partition", {"n": 3, "parts": [[[1, 2]], None]}, "parts[1] must be a JSON array"),
+        ("verify-ast", {"n": 3, "relations": [{"id": 0, "triples": 7}]}, "relations[0].triples must be a JSON array"),
+        ("thin", {"n": 3, "triples": 7}, "triples must be a JSON array"),
+        ("symmetrise", {"n": 5, "pairs": "12"}, "pairs must be a JSON array"),
+    ],
+)
+def test_nested_json_types_are_named(tmp_path, command, obj, message, capsys):
+    code, out = run([command, "--in", write_json(tmp_path, "in.json", obj)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_thin_tests_each_label_once(coarse5_files, monkeypatch):
     """thin reads each witness without testing its label a second time."""
     calls = []

@@ -8,11 +8,13 @@ marginals off the tensor, `verify_a3` counts (id of t, id of g(t)) over the
 same relation-id table (on the x = 0 fibre alone when the diagonal shift
 fixes every relation), and `sym3_image` permutes mask bits through a per-n
 rank table; all must agree, verdict and witness, with the plain loops and set
-lookups in `oracles.py` and with `pair_image` applied pair by pair. The search's listing drops row prefixes by their index-map
-images and must yield the orbits that the unpruned listing in `oracles.py`
-keeps after testing each candidate's orbit. The CLI's JSON writer must give
-the bytes of `json.dumps(indent=2, sort_keys=True)`, also when its lists and
-dicts are cut into chunks of one or two items.
+lookups in `oracles.py` and with `pair_image` applied pair by pair. The
+search's listing counts the differences of each part and drops row prefixes
+by their index-map images; it must yield the orbits that the unpruned listing
+in `oracles.py` keeps after testing each candidate's orbit, and under
+`--symmetric` those of them with one part. The CLI's JSON writer must give the
+bytes of `json.dumps(indent=2, sort_keys=True)`, also when its lists and dicts
+are cut into chunks of one or two items.
 """
 
 import collections
@@ -315,19 +317,29 @@ def invariant_covers(draw):
 def test_pruned_listing_matches_reference_orbits(cover):
     """Below any Sym(3)-invariant covered set, the listing that prunes row
     prefixes by their index-map images yields exactly the orbits that survive
-    the unpruned listing followed by the orbit test, in the same order."""
+    the unpruned listing followed by the orbit test, in the same order; the
+    `--symmetric` listing yields exactly those of them that have one part."""
     n, covered = cover
+    mask = PairSet.from_pairs(n, covered).mask
+    reference = _reference_branches(n, covered)
     search = _Search(n, n - 2, False, None)
-    got = list(search.branches(PairSet.from_pairs(n, covered).mask))
-    assert got == _reference_branches(n, covered)
+    got = list(search.branches(mask))
+    assert got == reference
     assert search.complete
+    fixed = _Search(n, n - 2, True, None)
+    assert list(fixed.branches(mask)) == [orbit for orbit in reference if len(orbit) == 1]
+    assert fixed.complete
 
 
 def test_root_listing_matches_reference_orbits():
-    """Nothing covered, every valency: the whole root listing for n = 3..7,
-    and the unpruned candidates through a pair for n = 3..6."""
+    """Nothing covered, every valency: the whole root listing for n = 3..7
+    and its `--symmetric` listing, and the unpruned candidates through a pair
+    for n = 3..6."""
     for n in range(3, 8):
-        assert list(_Search(n, n - 2, False, None).branches(0)) == _reference_branches(n, ())
+        reference = _reference_branches(n, ())
+        assert list(_Search(n, n - 2, False, None).branches(0)) == reference
+        fixed = [orbit for orbit in reference if len(orbit) == 1]
+        assert list(_Search(n, n - 2, True, None).branches(0)) == fixed
     for n in range(3, 7):
         expected = [
             part
