@@ -14,6 +14,10 @@ Every capability is a subcommand over the JSON file formats of the library:
     circast symmetrise --in pairset.json
     circast params --in ast.json
 
+A call builds the parser of the command it names only (every command's
+parser when the first argument is not exactly a command name), and the
+process pool is imported only when `search --jobs N` starts one.
+
 Exit codes: 0 success, 1 verification-negative, 2 usage or input error.
 Reports go to stdout or the --out file (JSON with --format=json), written in
 pieces of at most ROWS list items with the bytes of json.dumps(indent=2,
@@ -321,87 +325,73 @@ def cmd_params(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_IN = ("--in", {"dest": "infile", "required": True})
+_OUT = ("--out", {"default": None})
+_GROUP_OR_AGL = [
+    ("--group", {"help": "JSON file with generators in cycle notation"}),
+    ("--agl", {"type": int, "help": "use the affine group of the prime p"}),
+]
+
+# name: (help, function, arguments); a list among the arguments is a group of
+# which exactly one must be given. Every command also takes --format.
+COMMANDS = {
+    "gen-x": ("emit the pair universe X(n)", cmd_gen_x, [("--n", {"type": int, "required": True})]),
+    "verify-partition": ("AST-regularity report for a partition of X", cmd_verify_partition, [_IN]),
+    "build": ("build the scheme of an AST-regular partition", cmd_build, [_IN, _OUT]),
+    "extract": ("recover the index partition of a circulant scheme", cmd_extract, [_IN, _OUT]),
+    "verify-ast": ("run the axiom checker on a triple partition", cmd_verify_ast, [_IN]),
+    "thin": ("thin profiles and witnesses of a relation or partition", cmd_thin, [_IN]),
+    "decompose": ("split a regular index set into perfect matchings", cmd_decompose, [_IN]),
+    "orbits": ("orbit scheme of a permutation group", cmd_orbits, [_GROUP_OR_AGL]),
+    "search": (
+        "enumerate AST-regular partitions of X(n)",
+        cmd_search,
+        [
+            ("--n", {"type": int, "required": True}),
+            ("--max-ni", {"dest": "max_ni", "type": int, "default": None}),
+            ("--all-thin", {"dest": "all_thin", "action": "store_true"}),
+            ("--symmetric", {"action": "store_true"}),
+            ("--dedupe", {"choices": ("none", "multiplier"), "default": "none"}),
+            ("--limit", {"type": int, "default": None}),
+            ("--timeout", {"default": None, "help": "wall-clock budget in seconds, e.g. 60 or 60s"}),
+            ("--jobs", {"type": int, "default": 1}),
+        ],
+    ),
+    "symmetrise": ("smallest Sym(3)-closed index set containing the input", cmd_symmetrise, [_IN]),
+    "params": ("marginal parameters of a verified scheme", cmd_params, [_IN]),
+}
+
+
+def _add_arguments(target, arguments) -> None:
+    for argument in arguments:
+        if isinstance(argument, list):
+            _add_arguments(target.add_mutually_exclusive_group(required=True), argument)
+        else:
+            target.add_argument(argument[0], **argument[1])
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` only, or of every command
+    when it is None. A one-command parser spells out every name in its usage
+    line, so it reads as the full one's, whose errors name `command`."""
     parser = argparse.ArgumentParser(
         prog="circast",
         description="Construct, verify, decompose and search circulant association schemes on triples.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = sub.add_parser("gen-x", help="emit the pair universe X(n)")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_gen_x)
-
-    p = sub.add_parser("verify-partition", help="AST-regularity report for a partition of X")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify_partition)
-
-    p = sub.add_parser("build", help="build the scheme of an AST-regular partition")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("extract", help="recover the index partition of a circulant scheme")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("verify-ast", help="run the axiom checker on a triple partition")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify_ast)
-
-    p = sub.add_parser("thin", help="thin profiles and witnesses of a relation or partition")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p)
-    p.set_defaults(func=cmd_thin)
-
-    p = sub.add_parser("decompose", help="split a regular index set into perfect matchings")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("orbits", help="orbit scheme of a permutation group")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--group", help="JSON file with generators in cycle notation")
-    grp.add_argument("--agl", type=int, help="use the affine group of the prime p")
-    common(p)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("search", help="enumerate AST-regular partitions of X(n)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-ni", dest="max_ni", type=int, default=None)
-    p.add_argument("--all-thin", dest="all_thin", action="store_true")
-    p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--dedupe", choices=("none", "multiplier"), default="none")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--timeout", default=None, help="wall-clock budget in seconds, e.g. 60 or 60s")
-    p.add_argument("--jobs", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("symmetrise", help="smallest Sym(3)-closed index set containing the input")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p)
-    p.set_defaults(func=cmd_symmetrise)
-
-    p = sub.add_parser("params", help="marginal parameters of a verified scheme")
-    p.add_argument("--in", dest="infile", required=True)
-    common(p)
-    p.set_defaults(func=cmd_params)
-
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            _add_arguments(p, arguments)
+            p.add_argument("--format", choices=("table", "json"), default="table")
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -66,10 +66,10 @@ def strict_int(value, what: str, cap: Optional[int] = None) -> int:
 
 
 def json_typed(value, kind: type, what: str):
-    """The value itself if json.load made it a `kind` (list or dict); anything
-    else raises ValueError naming the field."""
+    """The value itself if json.load made it a `kind` (list, dict or str);
+    anything else raises ValueError naming the field."""
     if type(value) is not kind:
-        raise ValueError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
+        raise ValueError(f"{what} must be a JSON {({list: 'array', dict: 'object', str: 'string'})[kind]}")
     return value
 
 

@@ -17,7 +17,16 @@ from itertools import permutations
 from operator import itemgetter
 
 from .circulant import is_circulant
-from .core import TRIPLE_N_CAP, CircastError, TernaryRelation, TriplePartition, make_domain, strict_int, trivial_relations
+from .core import (
+    TRIPLE_N_CAP,
+    CircastError,
+    TernaryRelation,
+    TriplePartition,
+    json_typed,
+    make_domain,
+    strict_int,
+    trivial_relations,
+)
 
 
 class MalformedCycles(CircastError, ValueError):
@@ -112,7 +121,8 @@ class GroupSpec:
     @classmethod
     def from_obj(cls, obj: dict) -> "GroupSpec":
         n = strict_int(obj["n"], "n", TRIPLE_N_CAP)
-        return cls(n, tuple(parse_cycles(text, n) for text in obj["generators"]))
+        generators = enumerate(json_typed(obj["generators"], list, "generators"))
+        return cls(n, tuple(parse_cycles(json_typed(text, str, f"generators[{k}]"), n) for k, text in generators))
 
 
 def _orbit(G: GroupSpec, start: tuple) -> set:

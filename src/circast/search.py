@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -282,6 +281,7 @@ def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
     root = _Search(n, max_r, config.require_symmetric, deadline)
     tasks = [(n, max_r, config.require_symmetric, deadline, orbit) for orbit in root.branches(0)]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             branches = list(pool.map(_branch_worker, tasks))
     else:

@@ -1,13 +1,20 @@
+import concurrent.futures
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import circast
+import circast.cli as cli_module
 import circast.search as search_module
 import circast.thin as thin_module
 from circast import IndexPartition, PairSet, build_ast
-from circast.cli import main
+from circast.cli import COMMANDS, build_parser, main
 
 
 def run(argv):
@@ -291,7 +298,7 @@ def test_jobs_above_the_bound_are_refused(monkeypatch, capsys):
     """--jobs above MAX_JOBS exits 2; the pool is replaced so that a broken
     bound starts no process either."""
     started = []
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: started.append(kw))
     code, out = run(["search", "--n", "5", "--jobs", str(search_module.MAX_JOBS + 1)])
     assert code == 2 and out == "" and started == []
     assert f"between 1 and {search_module.MAX_JOBS}" in capsys.readouterr().err
@@ -389,10 +396,14 @@ def test_input_must_be_an_object(tmp_path, command, obj, capsys):
         ("verify-ast", {"n": 3, "relations": [{"id": 0, "triples": 7}]}, "relations[0].triples must be a JSON array"),
         ("thin", {"n": 3, "triples": 7}, "triples must be a JSON array"),
         ("symmetrise", {"n": 5, "pairs": "12"}, "pairs must be a JSON array"),
+        ("orbits", {"n": 5, "generators": [5]}, "generators[0] must be a JSON string"),
+        ("orbits", {"n": 5, "generators": 5}, "generators must be a JSON array"),
+        ("orbits", {"n": 5, "generators": "(0 1 2 3 4)"}, "generators must be a JSON array"),
     ],
 )
 def test_nested_json_types_are_named(tmp_path, command, obj, message, capsys):
-    code, out = run([command, "--in", write_json(tmp_path, "in.json", obj)])
+    flag = "--group" if command == "orbits" else "--in"
+    code, out = run([command, flag, write_json(tmp_path, "in.json", obj)])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -493,3 +504,56 @@ def test_table_format_smoke(tmp_path, coarse5_files):
         code, out = run(argv)
         assert code == 0
         assert out.strip()
+
+
+def _parity_corpus(tmp_path, partition_path, ast_path):
+    pairs = write_json(tmp_path, "x4.json", PairSet.universe(4).to_obj())
+    group = write_json(tmp_path, "g.json", {"n": 4, "generators": ["(0 1 2 3)", "(0 1)"]})
+    valid = {
+        "gen-x": ["--n", "4"],
+        "verify-partition": ["--in", partition_path, "--format", "json"],
+        "build": ["--in", partition_path, "--out", str(tmp_path / "ast.json")],
+        "extract": ["--in", ast_path],
+        "verify-ast": ["--in", ast_path],
+        "thin": ["--in", ast_path, "--format", "json"],
+        "decompose": ["--in", pairs],
+        "orbits": ["--group", group],
+        "search": ["--n", "5", "--dedupe", "multiplier", "--jobs", "1"],
+        "symmetrise": ["--in", pairs],
+        "params": ["--in", ast_path],
+    }
+    assert set(valid) == set(COMMANDS)
+    corpus = [[], ["-h"], ["bogus"], ["Search"], ["verify-ast", "--in", "x", "extra"], ["--format", "xml"]]
+    corpus += [["verify-ast", "--in", ast_path, "--format", "xml"], ["search", "--n", "5", "--dedupe", "bogus"]]
+    for name, argv in valid.items():
+        corpus += [[name, "-h"], [name], [name, *argv]]
+    return corpus
+
+
+def _outcomes(corpus, capsys):
+    return [(argv, main(list(argv)), *capsys.readouterr()) for argv in corpus]
+
+
+def test_dispatch_matches_the_full_parser(tmp_path, coarse5_files, monkeypatch, capsys):
+    """main builds only the parser of the command that argv[0] names exactly;
+    exit code, stdout and stderr are those of a parse with every command's
+    parser."""
+    corpus = _parity_corpus(tmp_path, *coarse5_files)
+    asked = []
+    monkeypatch.setattr(cli_module, "build_parser", lambda command=None: asked.append(command) or build_parser(command))
+    one = _outcomes(corpus, capsys)
+    assert asked[:8] == [None, None, None, None, "verify-ast", None, "verify-ast", "search"]
+    assert asked[8:] == [argv[0] for argv in corpus[8:]]
+    assert {code for _, code, _, _ in one} == {0, 2}
+    monkeypatch.setattr(cli_module, "build_parser", lambda command=None: build_parser())
+    assert one == _outcomes(corpus, capsys)
+
+
+def test_import_loads_no_process_pool():
+    """A fresh interpreter that imports the CLI loads neither
+    concurrent.futures nor multiprocessing."""
+    code = "import json, sys, circast.cli; print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
+    env = dict(os.environ, PYTHONPATH=str(Path(circast.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert "circast" in loaded and "concurrent" not in loaded and "multiprocessing" not in loaded

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import time
 
@@ -246,7 +247,7 @@ class _RecordingPool:
 
 def test_pool_has_at_most_one_worker_per_task(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "started", [])
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     tasks = len(list(search_module._Search(7, 5, False, None).branches(0)))
     assert 1 < tasks < search_module.MAX_JOBS
     result = search_ast_regular(SearchConfig(7), jobs=search_module.MAX_JOBS)
