@@ -23,10 +23,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Optional, Union
 
 from .core import (
+    JSON_PARTS_CAP,
     CircastError,
     IndexPartition,
     Pair,
@@ -288,34 +288,30 @@ class ASTRegularityReport:
     """Outcome of the three-condition test on a partition of X(n).
 
     Fields are filled up to the first failing condition: `part_stats` after
-    (a), `action` after (b), `constants` after (c).
+    (a), `action` after (b), `bins` after (c). `to_obj` alone spells out the
+    k^4 intersection numbers p^d_{abc} = `bins[d].get((a, b, c), 0)`, for at
+    most JSON_PARTS_CAP parts.
     """
 
     ok: bool
     part_stats: Optional[list] = None
     action: Optional[dict] = None  # (part index, Sym3Element) -> part index
-    constants: Optional[dict] = None  # (i, j, k, l) part indices -> count
+    bins: Optional[list] = None  # part index -> Counter of its least pair, from pair_bins
     failure: Optional[dict] = None
 
     def to_obj(self) -> dict:
-        action_obj = None
-        if self.action is not None:
-            k = len(self.part_stats)
-            action_obj = {
-                SYM3_NAME[g]: [self.action[(idx, g)] for idx in range(k)] for g in SYM3
-            }
-        constants_obj = None
-        if self.constants is not None:
-            constants_obj = {}
-            for (a, b, c, d), v in sorted(self.constants.items()):
-                constants_obj.setdefault(str(a), {}).setdefault(str(b), {}).setdefault(
-                    str(c), {}
-                )[str(d)] = v
+        k = len(self.part_stats or ())
+        if self.bins is not None and k > JSON_PARTS_CAP:
+            raise ValueError(f"k = {k} parts is above the JSON report's cap of {JSON_PARTS_CAP}")
+        keys = list(enumerate(map(str, range(k))))  # one key string per part, shared by every level
         return {
             "ok": self.ok,
             "parts": [s.to_obj() for s in self.part_stats] if self.part_stats is not None else None,
-            "action": action_obj,
-            "constants": constants_obj,
+            "action": None if self.action is None else {SYM3_NAME[g]: [self.action[i, g] for i in range(k)] for g in SYM3},
+            "constants": None if self.bins is None else {
+                sa: {sb: {sc: {sd: self.bins[d].get((a, b, c), 0) for d, sd in keys} for c, sc in keys} for b, sb in keys}
+                for a, sa in keys
+            },
             "failure": self.failure,
         }
 
@@ -375,7 +371,9 @@ def is_ast_regular(P: IndexPartition) -> ASTRegularityReport:
     constant iff every pair of L has the bin counts of the least pair of L.
     On a failure the least quadruple (a,b,c,d) whose bin (a,b,c) differs
     within part d is reported, with the witness of
-    :func:`circulant_structure_constant` on that quadruple.
+    :func:`circulant_structure_constant` on that quadruple. On success the
+    report keeps those k Counters, uncopied, as `bins`; their bins naming -1
+    count the three w in {0,y,z} and are never read as intersection numbers.
     """
     # (a): every part row/column regular
     part_stats = []
@@ -412,11 +410,7 @@ def is_ast_regular(P: IndexPartition) -> ASTRegularityReport:
             action=action,
             failure={"condition": "c", "quadruple": list(least), "witness": res.to_obj()},
         )
-    k = len(P.parts)
-    constants = {
-        (a, b, c, d): bins[d][0].get((a, b, c), 0) for (a, b, c, d) in product(range(k), repeat=4)
-    }
-    return ASTRegularityReport(True, part_stats, action, constants, None)
+    return ASTRegularityReport(True, part_stats, action, [ref for ref, _ in bins], None)
 
 
 def expand_partition(P: IndexPartition) -> TriplePartition:

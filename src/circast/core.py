@@ -49,10 +49,12 @@ class Domain:
 
 # caps on n read from input, checked before anything of size n is built.
 # Index-level input reads back every X(n) that gen-x writes; at the other two
-# caps, building all n^3 triples and a search each peak below 200 MB.
+# caps, building all n^3 triples and a search each peak below 200 MB, as does
+# the JSON report that spells out the k^4 intersection numbers of k parts.
 INDEX_N_CAP = 256
 TRIPLE_N_CAP = 64
 SEARCH_N_CAP = 100
+JSON_PARTS_CAP = 48
 
 
 def strict_int(value, what: str, cap: Optional[int] = None) -> int:
@@ -65,11 +67,14 @@ def strict_int(value, what: str, cap: Optional[int] = None) -> int:
     return value
 
 
-def json_typed(value, kind: type, what: str):
-    """The value itself if json.load made it a `kind` (list, dict or str);
-    anything else raises ValueError naming the field."""
+def json_typed(value, kind: type, what: str, items: Optional[type] = None):
+    """The value itself if json.load made it a `kind` (list, dict or str), each
+    of its items an `items` if that is given; anything else raises ValueError
+    naming the field, e.g. `parts[0][1] must be a JSON array`."""
     if type(value) is not kind:
         raise ValueError(f"{what} must be a JSON {({list: 'array', dict: 'object', str: 'string'})[kind]}")
+    for i, item in enumerate(value if items else ()):
+        json_typed(item, items, f"{what}[{i}]")
     return value
 
 
@@ -190,7 +195,7 @@ class PairSet:
     @classmethod
     def from_obj(cls, obj: dict) -> "PairSet":
         n = strict_int(obj["n"], "n", INDEX_N_CAP)
-        return cls.from_pairs(n, json_typed(obj["pairs"], list, "pairs"))
+        return cls.from_pairs(n, json_typed(obj["pairs"], list, "pairs", list))
 
     def __repr__(self) -> str:
         return f"PairSet(n={self.n}, pairs={list(self.pairs())})"
@@ -348,8 +353,7 @@ class TriplePartition:
     @classmethod
     def from_obj(cls, obj: dict) -> "TriplePartition":
         n = strict_int(obj["n"], "n")
-        entries = json_typed(obj["relations"], list, "relations")
-        entries = [json_typed(e, dict, f"relations[{k}]") for k, e in enumerate(entries)]
+        entries = json_typed(obj["relations"], list, "relations", dict)
         ids = sorted(strict_int(e["id"], "relation id") for e in entries)
         if ids != list(range(len(entries))):
             raise ValueError("relation ids must be exactly 0..m")
@@ -396,7 +400,7 @@ class IndexPartition:
     def from_obj(cls, obj: dict) -> "IndexPartition":
         n = strict_int(obj["n"], "n", INDEX_N_CAP)
         blocks = enumerate(json_typed(obj["parts"], list, "parts"))
-        parts = tuple(PairSet.from_pairs(n, json_typed(b, list, f"parts[{k}]")) for k, b in blocks)
+        parts = tuple(PairSet.from_pairs(n, json_typed(b, list, f"parts[{k}]", list)) for k, b in blocks)
         return cls(n, parts)
 
     def __repr__(self) -> str:

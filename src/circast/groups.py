@@ -121,8 +121,8 @@ class GroupSpec:
     @classmethod
     def from_obj(cls, obj: dict) -> "GroupSpec":
         n = strict_int(obj["n"], "n", TRIPLE_N_CAP)
-        generators = enumerate(json_typed(obj["generators"], list, "generators"))
-        return cls(n, tuple(parse_cycles(json_typed(text, str, f"generators[{k}]"), n) for k, text in generators))
+        generators = json_typed(obj["generators"], list, "generators", str)
+        return cls(n, tuple(parse_cycles(text, n) for text in generators))
 
 
 def _orbit(G: GroupSpec, start: tuple) -> set:

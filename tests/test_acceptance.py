@@ -131,8 +131,8 @@ def test_criterion_2_coarse_family(coarse_family):
             problems.append(f"n={n} valency {report.part_stats[0].n_I}")
         X = P.parts[0].pairs()
         expected = oracles.brute_structure_constant(n, X, X, X, X)
-        if expected != ("const", n - 3) or report.constants[(0, 0, 0, 0)] != n - 3:
-            problems.append(f"n={n} constant {report.constants[(0, 0, 0, 0)]}")
+        if expected != ("const", n - 3) or report.bins[0].get((0, 0, 0), 0) != n - 3:
+            problems.append(f"n={n} constant {report.bins[0].get((0, 0, 0), 0)}")
         if not ast_report.ok:
             problems.append(f"n={n} scheme fails the axiom checker")
     if elapsed >= 30.0:

@@ -193,9 +193,7 @@ def test_tensor_agrees_with_index_level_constants():
             for b in range(k):
                 for c in range(k):
                     for d in range(k):
-                        assert tensor.p.get((a + 4, b + 4, c + 4, d + 4), 0) == report.constants[
-                            (a, b, c, d)
-                        ]
+                        assert tensor.p.get((a + 4, b + 4, c + 4, d + 4), 0) == report.bins[d].get((a, b, c), 0)
 
 
 def test_verify_a2_witness_on_non_scheme():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -271,7 +272,7 @@ def test_coarse_partition_is_ast_regular():
     rep = is_ast_regular(P)
     assert rep.ok
     assert rep.part_stats[0].n_I == 3
-    assert rep.constants[(0, 0, 0, 0)] == 2
+    assert rep.bins[0].get((0, 0, 0), 0) == 2
     assert all(rep.action[(0, g)] == 0 for g in SYM3)
 
 
@@ -302,7 +303,7 @@ def test_condition_b_failure_reported_before_c():
     rep = is_ast_regular(IndexPartition(4, (a, b)))
     assert not rep.ok
     assert rep.failure["condition"] == "b"
-    assert rep.part_stats is not None and rep.constants is None
+    assert rep.part_stats is not None and rep.bins is None
 
 
 def test_part_action_composes_like_sym3():
@@ -337,7 +338,8 @@ def test_constants_bounded_by_n_minus_three():
     ):
         rep = is_ast_regular(P)
         assert rep.ok
-        assert all(v <= P.n - 3 for v in rep.constants.values())
+        k = len(P.parts)
+        assert all(rep.bins[d].get((a, b, c), 0) <= P.n - 3 for a, b, c, d in product(range(k), repeat=4))
 
 
 def test_build_ast_shapes():

@@ -10,11 +10,14 @@ from pathlib import Path
 import pytest
 
 import circast
+import circast.circulant as circulant_module
 import circast.cli as cli_module
 import circast.search as search_module
 import circast.thin as thin_module
 from circast import IndexPartition, PairSet, build_ast
 from circast.cli import COMMANDS, build_parser, main
+from circast.core import JSON_PARTS_CAP
+from oracles import multiplicative_orbit_partition
 
 
 def run(argv):
@@ -294,6 +297,62 @@ def test_index_input_at_the_cap(tmp_path):
     assert code == 0 and [1, 2] in obj["pairs"]
 
 
+def test_json_report_above_the_parts_cap_is_refused(tmp_path, capsys):
+    """The JSON report spells out k^4 intersection numbers, so above the cap
+    on k it exits 2 before writing anything; the table format is not capped."""
+    assert JSON_PARTS_CAP >= 35  # AGL(1,37) is reported
+    p = next(p for p in range(JSON_PARTS_CAP + 3, 3 * JSON_PARTS_CAP) if all(p % q for q in range(2, p)))
+    path = write_json(tmp_path, "agl.json", multiplicative_orbit_partition(p).to_obj())
+    code, out = run(["verify-partition", "--in", path, "--format", "json"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: k = {p - 2} parts is above the JSON report's cap of {JSON_PARTS_CAP}\n"
+    code, out = run(["verify-partition", "--in", path])
+    assert code == 0 and out.startswith(f"AST-regular: yes ({p - 2} parts")
+
+
+def test_parts_cap_refuses_only_reports_that_hold_numbers(tmp_path, monkeypatch, capsys):
+    """With the cap lowered to 3, three parts are reported and five are not;
+    with it at 0, search refuses its JSON report but not its table. Failing
+    reports hold no intersection numbers and are never refused."""
+    monkeypatch.setattr(circulant_module, "JSON_PARTS_CAP", 3)
+    p5, p7 = (write_json(tmp_path, f"p{p}.json", multiplicative_orbit_partition(p).to_obj()) for p in (5, 7))
+    code, obj = run_json(["verify-partition", "--in", p5])
+    assert code == 0 and len(obj["constants"]) == 3
+    code, out = run(["verify-partition", "--in", p7, "--format", "json"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: k = 5 parts is above the JSON report's cap of 3\n"
+    monkeypatch.setattr(circulant_module, "JSON_PARTS_CAP", 0)
+    code, out = run(["search", "--n", "5", "--format", "json"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: k = 1 parts is above the JSON report's cap of 0\n"
+    assert run(["search", "--n", "5"])[0] == 0
+    singletons = {"n": 4, "parts": [[list(pair)] for pair in PairSet.universe(4)]}
+    halves = {"n": 4, "parts": [[[1, 2], [2, 3], [3, 1]], [[1, 3], [2, 1], [3, 2]]]}
+    for obj, condition in ((singletons, "a"), (halves, "b")):
+        code, report = run_json(["verify-partition", "--in", write_json(tmp_path, "bad.json", obj)])
+        assert code == 1 and report["failure"]["condition"] == condition and report["constants"] is None
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_table_report_memory_does_not_grow_with_k4(tmp_path):
+    """Table-format verify-partition on the AGL(1,31) partition (29 parts,
+    707,281 intersection numbers) keeps no k^4 object: the whole process
+    peaks below 80 MB. The child reads its own peak, VmHWM: on Linux its
+    ru_maxrss would start from this process's peak."""
+    path = write_json(tmp_path, "agl31.json", multiplicative_orbit_partition(31).to_obj())
+    code = (
+        "import sys; from circast.cli import main; code = main(sys.argv[1:]); "
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:'))); "
+        "sys.exit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(circast.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", code, "verify-partition", "--in", path]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    report, peak_kb = out.stdout.splitlines()
+    assert report.startswith("AST-regular: yes (29 parts")
+    assert int(peak_kb) < 80 * 1024
+
+
 def test_jobs_above_the_bound_are_refused(monkeypatch, capsys):
     """--jobs above MAX_JOBS exits 2; the pool is replaced so that a broken
     bound starts no process either."""
@@ -396,6 +455,10 @@ def test_input_must_be_an_object(tmp_path, command, obj, capsys):
         ("verify-ast", {"n": 3, "relations": [{"id": 0, "triples": 7}]}, "relations[0].triples must be a JSON array"),
         ("thin", {"n": 3, "triples": 7}, "triples must be a JSON array"),
         ("symmetrise", {"n": 5, "pairs": "12"}, "pairs must be a JSON array"),
+        ("symmetrise", {"n": 5, "pairs": [5]}, "pairs[0] must be a JSON array"),
+        ("decompose", {"n": 5, "pairs": [[1, 2], {"a": 1}]}, "pairs[1] must be a JSON array"),
+        ("verify-partition", {"n": 5, "parts": [[5]]}, "parts[0][0] must be a JSON array"),
+        ("build", {"n": 5, "parts": [[[1, 2]], [[2, 1], {"a": 1}]]}, "parts[1][1] must be a JSON array"),
         ("orbits", {"n": 5, "generators": [5]}, "generators[0] must be a JSON string"),
         ("orbits", {"n": 5, "generators": 5}, "generators must be a JSON array"),
         ("orbits", {"n": 5, "generators": "(0 1 2 3 4)"}, "generators must be a JSON array"),

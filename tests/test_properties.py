@@ -161,8 +161,11 @@ def _agrees_with_brute_force(P):
     expected = oracles.brute_ast_regular(P.n, [part.pairs() for part in P.parts])
     if expected[0] == "ok":
         assert report.ok
-        assert report.constants == expected[1]
-        assert list(report.constants) == list(expected[1])
+        assert all(report.bins[d].get((a, b, c), 0) == v for (a, b, c, d), v in expected[1].items())
+        k = range(len(P.parts))
+        assert report.to_obj()["constants"] == {
+            str(a): {str(b): {str(c): {str(d): expected[1][a, b, c, d] for d in k} for c in k} for b in k} for a in k
+        }
         return "ok"
     assert not report.ok
     assert report.failure["condition"] == expected[0]
