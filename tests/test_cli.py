@@ -455,13 +455,13 @@ def test_input_must_be_an_object(tmp_path, command, obj, capsys):
         ("verify-ast", {"n": 3, "relations": [{"id": 0, "triples": 7}]}, "relations[0].triples must be a JSON array"),
         ("thin", {"n": 3, "triples": 7}, "triples must be a JSON array"),
         ("symmetrise", {"n": 5, "pairs": "12"}, "pairs must be a JSON array"),
+        ("orbits", {"n": 5, "generators": [5]}, "generators[0] must be a JSON string"),
+        ("orbits", {"n": 5, "generators": 5}, "generators must be a JSON array"),
+        ("orbits", {"n": 5, "generators": "(0 1 2 3 4)"}, "generators must be a JSON array"),
         ("symmetrise", {"n": 5, "pairs": [5]}, "pairs[0] must be a JSON array"),
         ("decompose", {"n": 5, "pairs": [[1, 2], {"a": 1}]}, "pairs[1] must be a JSON array"),
         ("verify-partition", {"n": 5, "parts": [[5]]}, "parts[0][0] must be a JSON array"),
         ("build", {"n": 5, "parts": [[[1, 2]], [[2, 1], {"a": 1}]]}, "parts[1][1] must be a JSON array"),
-        ("orbits", {"n": 5, "generators": [5]}, "generators[0] must be a JSON string"),
-        ("orbits", {"n": 5, "generators": 5}, "generators must be a JSON array"),
-        ("orbits", {"n": 5, "generators": "(0 1 2 3 4)"}, "generators must be a JSON array"),
     ],
 )
 def test_nested_json_types_are_named(tmp_path, command, obj, message, capsys):
