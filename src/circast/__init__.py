@@ -38,7 +38,6 @@ from .circulant import (
     NotCirculantAST,
     NotNontrivial,
     RegularityReport,
-    RegularityStats,
     build_ast,
     circulant_structure_constant,
     expand,

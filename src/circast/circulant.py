@@ -186,37 +186,24 @@ def extract(R: TernaryRelation) -> PairSet:
 
 
 @dataclass
-class RegularityStats:
-    """Row/column counts of a regular index set; all equal n_I."""
-
-    n_I: int
-    row_counts: dict
-    col_counts: dict
-
-    def to_obj(self) -> dict:
-        return {
-            "n_I": self.n_I,
-            "rows": {str(k): v for k, v in sorted(self.row_counts.items())},
-            "cols": {str(k): v for k, v in sorted(self.col_counts.items())},
-        }
-
-
-@dataclass
 class RegularityReport:
+    """Row/column regularity of an index set: `n_I` when every row and column
+    count equals it, so `to_obj` spells the counts out from n_I alone; else
+    the first (axis, value, count) that differs from row 1's count."""
+
     ok: bool
-    stats: Optional[RegularityStats] = None
+    n: int
+    n_I: Optional[int] = None
     failure_witness: Optional[tuple] = None  # (axis, value, count)
 
     def to_obj(self) -> dict:
-        return {
-            "ok": self.ok,
-            "stats": self.stats.to_obj() if self.stats else None,
-            "failure": list(self.failure_witness) if self.failure_witness else None,
-        }
+        counts = {str(x): self.n_I for x in range(1, self.n)}
+        return {"n_I": self.n_I, "rows": counts, "cols": counts}
 
 
 def regularity_stats(I: PairSet) -> RegularityReport:
-    """Check that every row and column of I has one common positive count."""
+    """Check that every row and column of I has one common positive count:
+    row 1's, compared with each row, then each column; it is all a pass keeps."""
     n = I.n
     rows = {x: 0 for x in range(1, n)}
     cols = {x: 0 for x in range(1, n)}
@@ -227,10 +214,10 @@ def regularity_stats(I: PairSet) -> RegularityReport:
     for axis, counts in (("row", rows), ("col", cols)):
         for x in range(1, n):
             if counts[x] != ref:
-                return RegularityReport(False, failure_witness=(axis, x, counts[x]))
+                return RegularityReport(False, n, failure_witness=(axis, x, counts[x]))
     if ref == 0:
-        return RegularityReport(False, failure_witness=("row", 1, 0))
-    return RegularityReport(True, stats=RegularityStats(ref, rows, cols))
+        return RegularityReport(False, n, failure_witness=("row", 1, 0))
+    return RegularityReport(True, n, ref)
 
 
 @dataclass(frozen=True)
@@ -288,9 +275,10 @@ class ASTRegularityReport:
     """Outcome of the three-condition test on a partition of X(n).
 
     Fields are filled up to the first failing condition: `part_stats` after
-    (a), `action` after (b), `bins` after (c). `to_obj` alone spells out the
-    k^4 intersection numbers p^d_{abc} = `bins[d].get((a, b, c), 0)`, for at
-    most JSON_PARTS_CAP parts.
+    (a), `action` after (b), `bins` after (c). `part_stats` holds each part's
+    passing :class:`RegularityReport`, whose n_I is every row and column count
+    of the part. `to_obj` alone spells out the k^4 intersection numbers
+    p^d_{abc} = `bins[d].get((a, b, c), 0)`, for at most JSON_PARTS_CAP parts.
     """
 
     ok: bool
@@ -384,7 +372,7 @@ def is_ast_regular(P: IndexPartition) -> ASTRegularityReport:
                 False,
                 failure={"condition": "a", "part": idx, "witness": list(rep.failure_witness)},
             )
-        part_stats.append(rep.stats)
+        part_stats.append(rep)
     # (b): the six maps permute the parts
     index_of = {part: idx for idx, part in enumerate(P.parts)}
     action = {}

@@ -180,7 +180,7 @@ def cmd_build(args) -> int:
     try:
         A = build_ast(P)
     except NotASTRegular as exc:
-        print(_render(exc.report.to_obj()))
+        _emit(exc.report.to_obj())
         print(f"not AST-regular: {exc.report.failure}", file=sys.stderr)
         return 1
     if args.format == "json" or args.out:

@@ -51,9 +51,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def apply(self, x: int) -> int:
-        return self.images[x]
-
     def __repr__(self) -> str:
         return f"Permutation({cycles_string(self) or 'e'!r}, n={self.n})"
 

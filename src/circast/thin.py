@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circulant import expand, regularity_stats
+from .circulant import expand, is_circulant, regularity_stats
 from .core import CircastError, PairSet, TernaryRelation
 
 
@@ -84,8 +84,9 @@ def thin_relation(n: int, ab: str, rho: dict) -> TernaryRelation:
 
 
 def thin_witness(R: TernaryRelation, ab: str) -> ThinWitness:
-    """Read rho off the fibre of R over slot-a value 0 and certify that it
-    regenerates R; the derangement flag marks nontrivial relations."""
+    """Read rho off the fibre of R over slot-a value 0, certifying that R is
+    shift-closed, so that rho regenerates R; the derangement flag marks
+    nontrivial relations."""
     if ab not in AB_LABELS:
         raise ValueError(f"ab must be one of {AB_LABELS}, got {ab!r}")
     if not _is_thin(R, ab):
@@ -94,15 +95,13 @@ def thin_witness(R: TernaryRelation, ab: str) -> ThinWitness:
 
 
 def _read_witness(R: TernaryRelation, ab: str) -> ThinWitness:
-    """thin_witness for a relation already known to be ab-thin."""
-    n = R.n
-    a, b, c = _AB_POS[ab]
-    rho = {}
-    for t in R.triples:
-        if t[a] == 0:
-            rho[t[b]] = t[c]
-    if set(rho) != set(range(1, n)) or thin_relation(n, ab, rho) != R:
+    """thin_witness for a relation already known to be ab-thin: rho is then
+    defined on 1..n-1, and thin_relation(n, ab, rho), the shifts of R's
+    n-1 slot-a zero triples, is R exactly when R is shift-closed."""
+    if not is_circulant(R):
         raise NotThin(f"relation is {ab}-thin but not shift-closed")
+    a, b, c = _AB_POS[ab]
+    rho = {t[b]: t[c] for t in R.triples if t[a] == 0}
     derangement = all(rho[y] not in (0, y) for y in rho)
     return ThinWitness(ab, dict(sorted(rho.items())), derangement)
 
@@ -149,7 +148,7 @@ def matching_decomposition(I: PairSet) -> MatchingDecomposition:
             witness=report.failure_witness,
         )
     n = I.n
-    valency = report.stats.n_I
+    valency = report.n_I
     adj = {u: [v for v in range(1, n) if (u, v) in I] for u in range(1, n)}
     parts = []
     for _ in range(valency):
@@ -170,7 +169,7 @@ def _certify(I: PairSet, parts: list) -> None:
             raise RuntimeError("matching decomposition produced overlapping parts")
         union |= part.mask
         stats = regularity_stats(part)
-        if not (stats.ok and stats.stats.n_I == 1):
+        if not (stats.ok and stats.n_I == 1):
             raise RuntimeError("matching decomposition produced a non-matching part")
         if not thin_profile(expand(part)) >= {"12", "13"}:
             raise RuntimeError("matching part expands to a non-thin relation")

@@ -232,7 +232,7 @@ def test_criterion_7_matching_decomposition(small_searches, coarse_family):
     t0 = time.perf_counter()
     checked = 0
     for I in index_sets:
-        valency = regularity_stats(I).stats.n_I
+        valency = regularity_stats(I).n_I
         if valency < 2:
             continue
         checked += 1
@@ -247,7 +247,7 @@ def test_criterion_7_matching_decomposition(small_searches, coarse_family):
             R = expand(part)
             if thin_profile(R) < {"12", "13"}:
                 problems.append(f"{I!r}: matching not 12- and 13-thin")
-            if not (regularity_stats(part).ok and regularity_stats(part).stats.n_I == 1):
+            if not (regularity_stats(part).ok and regularity_stats(part).n_I == 1):
                 problems.append(f"{I!r}: part is not a perfect matching")
             if any(len({x, y, z}) != 3 for (x, y, z) in R.triples):
                 problems.append(f"{I!r}: expansion not nontrivial")

@@ -195,10 +195,10 @@ def test_is_circulant():
 
 def test_regularity_stats_examples():
     rep = regularity_stats(PairSet.universe(5))
-    assert rep.ok and rep.stats.n_I == 3
+    assert rep.ok and rep.n_I == 3
 
     rep = regularity_stats(PairSet.from_pairs(3, [(1, 2), (2, 1)]))
-    assert rep.ok and rep.stats.n_I == 1
+    assert rep.ok and rep.n_I == 1
 
     rep = regularity_stats(PairSet.from_pairs(4, [(1, 2), (2, 1)]))
     assert not rep.ok
@@ -214,7 +214,7 @@ def test_regular_set_size_identity():
         I = random_pairset(rng, n)
         rep = regularity_stats(I)
         if rep.ok:
-            assert len(I) == (n - 1) * rep.stats.n_I
+            assert len(I) == (n - 1) * rep.n_I
 
 
 # --- structure constants ---------------------------------------------------------

@@ -14,9 +14,21 @@ import circast.circulant as circulant_module
 import circast.cli as cli_module
 import circast.search as search_module
 import circast.thin as thin_module
-from circast import IndexPartition, PairSet, build_ast
+from circast import (
+    AxiomFailure,
+    IndexPartition,
+    PairSet,
+    TernaryRelation,
+    TriplePartition,
+    build_ast,
+    is_ast_regular,
+    is_symmetric_ast,
+    verify_a1,
+    verify_ast,
+)
 from circast.cli import COMMANDS, build_parser, main
 from circast.core import JSON_PARTS_CAP
+from circast.groups import agl1, orbit_partition_on_triples
 from oracles import multiplicative_orbit_partition
 
 
@@ -163,6 +175,30 @@ def test_thin_command(tmp_path, coarse5_files):
     assert obj["relations"][0]["id"] is None
     assert obj["relations"][0]["profile"] == ["12", "13"]
     assert obj["relations"][0]["witnesses"]["12"]["derangement"] is False
+
+
+def test_a3_failure_inside_verify_ast(tmp_path):
+    """AGL(1,7) with the least triple t of relation 4 swapped for the triple u
+    of relation 5 on the same first two points: every row count stays, so A1
+    holds and A3 is the first axiom to fail; relation 4 stays 12-thin but is
+    no longer shift-closed, so it has no witness."""
+    A = orbit_partition_on_triples(agl1(7))
+    t = A.relations[4].sorted_triples()[0]
+    u = next(s for s in A.relations[5].sorted_triples() if s[:2] == t[:2])
+    rels = list(A.relations)
+    rels[4] = TernaryRelation(7, rels[4].triples - {t} | {u})
+    rels[5] = TernaryRelation(7, rels[5].triples - {u} | {t})
+    B = TriplePartition(7, tuple(rels))
+    assert not isinstance(verify_a1(B), AxiomFailure)
+    assert [f.to_obj() for f in verify_ast(B).failures] == [{"axiom": "A3", "relation": 4, "element": "(12)"}]
+    with pytest.raises(ValueError):
+        is_symmetric_ast(B)
+    path = write_json(tmp_path, "swapped.json", B.to_obj())
+    code, obj = run_json(["verify-ast", "--in", path])
+    assert code == 1 and obj["failures"] == [{"axiom": "A3", "relation": 4, "element": "(12)"}]
+    code, obj = run_json(["thin", "--in", path])
+    assert code == 0
+    assert obj["relations"][4] == {"id": 4, "profile": ["12"], "witnesses": {"12": None}}
 
 
 def test_decompose(tmp_path):
@@ -462,6 +498,18 @@ def test_input_must_be_an_object(tmp_path, command, obj, capsys):
         ("decompose", {"n": 5, "pairs": [[1, 2], {"a": 1}]}, "pairs[1] must be a JSON array"),
         ("verify-partition", {"n": 5, "parts": [[5]]}, "parts[0][0] must be a JSON array"),
         ("build", {"n": 5, "parts": [[[1, 2]], [[2, 1], {"a": 1}]]}, "parts[1][1] must be a JSON array"),
+        ("thin", {"n": 3}, "input must be a relation or a triple partition"),
+        (
+            "verify-ast",
+            {
+                "n": 3,
+                "relations": [
+                    {"id": rid, "triples": triples}
+                    for rid, triples in enumerate([[[0, 0, 0]], [[0, 1, 1]], [[0, 1, 0]], [[0, 0, 1]], []])
+                ],
+            },
+            "relation 4 is empty",
+        ),
     ],
 )
 def test_nested_json_types_are_named(tmp_path, command, obj, message, capsys):
@@ -567,6 +615,23 @@ def test_table_format_smoke(tmp_path, coarse5_files):
         code, out = run(argv)
         assert code == 0
         assert out.strip()
+
+
+def test_table_format_negatives(tmp_path, coarse5_files):
+    singletons = IndexPartition(4, tuple(PairSet.from_pairs(4, [p]) for p in PairSet.universe(4)))
+    code, out = run(["verify-partition", "--in", write_json(tmp_path, "bad.json", singletons.to_obj())])
+    assert code == 1
+    assert out == f"AST-regular: no ({is_ast_regular(singletons).failure})\n"
+    assert out.startswith("AST-regular: no ({'condition': 'a'")
+
+    ast = json.loads(open(coarse5_files[1]).read())
+    merged = ast["relations"]
+    merged[1]["triples"] += merged.pop(2)["triples"]
+    for new_id, entry in enumerate(merged):
+        entry["id"] = new_id
+    code, out = run(["verify-ast", "--in", write_json(tmp_path, "merged.json", ast)])
+    assert code == 1
+    assert out == "AST: failed ([{'axiom': 'trivial', 'reason': 'ids 0..3 are not R0..R3'}])\n"
 
 
 def _parity_corpus(tmp_path, partition_path, ast_path):

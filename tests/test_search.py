@@ -50,7 +50,7 @@ def test_candidates_are_regular_and_contain_the_pair():
             for part in enumerate_candidate_parts(n, (1, 2), cap):
                 stats = regularity_stats(part)
                 assert stats.ok
-                assert cap is None or stats.stats.n_I <= cap
+                assert cap is None or stats.n_I <= cap
                 assert (1, 2) in part
 
 

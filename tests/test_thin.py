@@ -158,7 +158,7 @@ def test_matching_decomposition_postconditions():
     first = matching_decomposition(X5).parts[0]
     cases.append(X5 - first)
     for I in cases:
-        valency = regularity_stats(I).stats.n_I
+        valency = regularity_stats(I).n_I
         dec = matching_decomposition(I)
         assert len(dec.parts) == valency
         union = PairSet(I.n, 0)
@@ -166,7 +166,7 @@ def test_matching_decomposition_postconditions():
             assert union.isdisjoint(part)
             union = union | part
             stats = regularity_stats(part)
-            assert stats.ok and stats.stats.n_I == 1
+            assert stats.ok and stats.n_I == 1
             R = expand(part)
             assert thin_profile(R) >= {"12", "13"}
             assert all(len({x, y, z}) == 3 for (x, y, z) in R.triples)
