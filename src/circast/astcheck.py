@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Union
 
-from .circulant import SYM3, SYM3_NAME, EmptyIndexSet, sym3_image
+from .circulant import SYM3, SYM3_NAME, EmptyIndexSet, sym3_action_obj, sym3_image
 from .core import CircastError, PairSet, TriplePartition, verify_trivial
 
 
@@ -98,12 +98,6 @@ class ASTReport:
     failures: list = field(default_factory=list)
 
     def to_obj(self) -> dict:
-        action_obj = None
-        if self.a3_action is not None:
-            m = max(rid for rid, _ in self.a3_action) + 1
-            action_obj = {
-                SYM3_NAME[g]: [self.a3_action[(rid, g)] for rid in range(m)] for g in SYM3
-            }
         tensor_obj = marginals_obj = None
         if self.tensor is not None:
             full = self.tensor.to_obj()
@@ -113,7 +107,7 @@ class ASTReport:
             "ok": self.ok,
             "tensor": tensor_obj,
             "marginals": marginals_obj,
-            "a3_action": action_obj,
+            "a3_action": sym3_action_obj(self.a3_action),
             "symmetric": self.symmetric,
             "failures": [f.to_obj() for f in self.failures],
         }

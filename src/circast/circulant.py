@@ -89,6 +89,12 @@ SYM3_NAME = {
 }
 
 
+def sym3_action_obj(action: Optional[dict]) -> Optional[dict]:
+    """The JSON form of an action {(id, g): id} with an entry for every id and
+    every g: per element name, the image of each id in order."""
+    return None if action is None else {SYM3_NAME[g]: [action[i, g] for i in range(len(action) // 6)] for g in SYM3}
+
+
 def sym3_mul(g: Sym3Element, h: Sym3Element) -> Sym3Element:
     """g followed by h; triples transform by t^(g*h) = (t^g)^h."""
     return (h[g[0] - 1], h[g[1] - 1], h[g[2] - 1])
@@ -295,7 +301,7 @@ class ASTRegularityReport:
         return {
             "ok": self.ok,
             "parts": [s.to_obj() for s in self.part_stats] if self.part_stats is not None else None,
-            "action": None if self.action is None else {SYM3_NAME[g]: [self.action[i, g] for i in range(k)] for g in SYM3},
+            "action": sym3_action_obj(self.action),
             "constants": None if self.bins is None else {
                 sa: {sb: {sc: {sd: self.bins[d].get((a, b, c), 0) for d, sd in keys} for c, sc in keys} for b, sb in keys}
                 for a, sa in keys

@@ -131,13 +131,6 @@ def _write(obj, indent: str, write) -> None:
     write(indent + ("]" if heads is None else "}"))
 
 
-def _render(obj) -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte."""
-    pieces: list = []
-    _write(obj, "\n", pieces.append)
-    return "".join(pieces)
-
-
 def _emit(obj, out_path: str | None = None) -> None:
     """Write the report and a newline to out_path, or to stdout, in pieces."""
     with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as handle:

@@ -220,6 +220,7 @@ class TernaryRelation:
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[Triple]) -> "TernaryRelation":
+        make_domain(n)  # before any triple is read against 0..n-1
         out = set()
         for t in triples:
             try:
@@ -293,6 +294,7 @@ class TriplePartition:
     relations: tuple
 
     def __post_init__(self) -> None:
+        make_domain(self.n)
         relations = tuple(self.relations)
         for rel in relations:
             if not isinstance(rel, TernaryRelation) or rel.n != self.n:
@@ -352,7 +354,7 @@ class TriplePartition:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TriplePartition":
-        n = strict_int(obj["n"], "n")
+        n = make_domain(strict_int(obj["n"], "n")).n
         entries = json_typed(obj["relations"], list, "relations", dict)
         ids = sorted(strict_int(e["id"], "relation id") for e in entries)
         if ids != list(range(len(entries))):

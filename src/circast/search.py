@@ -263,8 +263,12 @@ def _branch_worker(task):
     return engine.found, engine.nodes, engine.complete
 
 
-def _partition_key(P: IndexPartition) -> tuple:
-    return tuple(part.pairs() for part in P.parts)
+def _partition_key(P: IndexPartition, c: int = 1) -> tuple:
+    """The sorted pair tuples of the parts of P's image under x -> cx, in
+    ascending order: since the parts are disjoint, that is least-pair order,
+    so for c = 1 the key is P's own `part.pairs()` tuples."""
+    n = P.n
+    return tuple(sorted(tuple(sorted((c * i % n, c * j % n) for i, j in part)) for part in P.parts))
 
 
 def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
@@ -314,27 +318,11 @@ def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
     return SearchResult(config, tuple(hits), nodes, complete, elapsed)
 
 
-def _multiplier_image(P: IndexPartition, c: int) -> IndexPartition:
-    n = P.n
-    return IndexPartition(
-        n,
-        tuple(
-            PairSet.from_pairs(n, ((c * i % n, c * j % n) for (i, j) in part))
-            for part in P.parts
-        ),
-    )
-
-
 def dedupe_multiplier(hits: list, n: int) -> list:
-    """Collapse partitions equivalent under some unit multiplier x -> cx to
-    the lexicographically least representative."""
+    """Keep the lexicographically least member of each class of partitions
+    equivalent under some unit multiplier x -> cx, in the order of those."""
     units = [c for c in range(1, n) if math.gcd(c, n) == 1]
-    groups: dict = {}
-    for hit in hits:
-        canon = min(_partition_key(_multiplier_image(hit.partition, c)) for c in units)
-        groups.setdefault(canon, []).append(hit)
-    kept = [
-        min(group, key=lambda hit: _partition_key(hit.partition)) for group in groups.values()
-    ]
-    kept.sort(key=lambda hit: _partition_key(hit.partition))
-    return kept
+    kept: dict = {}
+    for hit in sorted(hits, key=lambda hit: _partition_key(hit.partition)):
+        kept.setdefault(min(_partition_key(hit.partition, c) for c in units), hit)
+    return list(kept.values())

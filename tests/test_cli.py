@@ -510,6 +510,14 @@ def test_input_must_be_an_object(tmp_path, command, obj, capsys):
             },
             "relation 4 is empty",
         ),
+        ("verify-ast", {"n": 0, "relations": []}, "base set needs n >= 3, got n=0"),
+        ("extract", {"n": 0, "relations": []}, "base set needs n >= 3, got n=0"),
+        ("thin", {"n": 0, "relations": []}, "base set needs n >= 3, got n=0"),
+        ("params", {"n": 0, "relations": []}, "base set needs n >= 3, got n=0"),
+        ("verify-ast", {"n": 2, "relations": []}, "base set needs n >= 3, got n=2"),
+        ("verify-ast", {"n": 0, "relations": [{"id": 0, "triples": [[0, 0, 0]]}]}, "base set needs n >= 3, got n=0"),
+        ("params", {"n": -1, "relations": [{"id": 0, "triples": [[0, 0, 0]]}]}, "base set needs n >= 3, got n=-1"),
+        ("thin", {"n": 0, "triples": [[0, 0, 0]]}, "base set needs n >= 3, got n=0"),
     ],
 )
 def test_nested_json_types_are_named(tmp_path, command, obj, message, capsys):

@@ -24,6 +24,14 @@ def test_make_domain():
         make_domain(2)
 
 
+def test_triple_partition_needs_a_base_set():
+    for n in (0, 2):
+        with pytest.raises(DomainTooSmall, match=f"base set needs n >= 3, got n={n}"):
+            TriplePartition(n, ())
+        with pytest.raises(DomainTooSmall, match=f"base set needs n >= 3, got n={n}"):
+            TernaryRelation.from_triples(n, [(0, 0, 0)])
+
+
 def test_pair_universe_small():
     assert list(build_pair_universe(make_domain(3))) == [(1, 2), (2, 1)]
     assert list(build_pair_universe(make_domain(4))) == [

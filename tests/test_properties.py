@@ -55,7 +55,7 @@ from circast import (
     verify_a3,
 )
 from circast import cli
-from circast.cli import _render
+from circast.cli import _write
 from circast.circulant import pair_bins
 from circast.search import _Search
 
@@ -532,6 +532,13 @@ _JSON_TREES = st.recursive(
     | st.dictionaries(st.none(), children, max_size=1),
     max_leaves=24,
 )
+
+
+def _render(obj) -> str:
+    """The pieces that cli._write hands over, joined into one string."""
+    pieces: list = []
+    _write(obj, "\n", pieces.append)
+    return "".join(pieces)
 
 
 @PROPERTY

@@ -1,5 +1,7 @@
 import concurrent.futures
 import json
+import math
+import random
 import time
 
 import pytest
@@ -267,3 +269,34 @@ def test_each_hit_is_checked_once_at_index_level(monkeypatch):
     result = search_ast_regular(SearchConfig(5))
     assert len(calls) == len(result.hits) == 2
     assert set(calls) == {hit.partition for hit in result.hits}
+
+
+def _complete_hits(n):
+    result = search_ast_regular(SearchConfig(n))
+    assert result.complete
+    return list(result.hits)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_partition_key_is_the_key_of_the_multiplier_image(n):
+    """The key of P under x -> cx is the key of the IndexPartition built from
+    the image pairs, for every hit and every unit c."""
+    units = [c for c in range(1, n) if math.gcd(c, n) == 1]
+    for hit in _complete_hits(n):
+        P = hit.partition
+        assert search_module._partition_key(P) == tuple(part.pairs() for part in P.parts)
+        for c in units:
+            image = IndexPartition(
+                n, tuple(PairSet.from_pairs(n, [(c * i % n, c * j % n) for i, j in part]) for part in P.parts)
+            )
+            assert search_module._partition_key(P, c) == tuple(part.pairs() for part in image.parts)
+
+
+def test_dedupe_multiplier_ignores_the_input_order():
+    hits = _complete_hits(7) * 2
+    expected = [hit.partition for hit in dedupe_multiplier(hits, 7)]
+    assert len(expected) < len(hits) // 2
+    for seed in range(20):
+        shuffled = hits[:]
+        random.Random(seed).shuffle(shuffled)
+        assert [hit.partition for hit in dedupe_multiplier(shuffled, 7)] == expected
