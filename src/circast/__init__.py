@@ -14,7 +14,6 @@ from .astcheck import (
     IdentityViolation,
     StructureTensor,
     derived_parameters,
-    is_symmetric_ast,
     symmetrise,
     verify_a1,
     verify_a2,
@@ -64,7 +63,6 @@ from .core import (
     TernaryRelation,
     Triple,
     TriplePartition,
-    build_pair_universe,
     make_domain,
     pair_capacity,
     trivial_relations,
@@ -87,7 +85,6 @@ from .search import (
     SearchHit,
     SearchResult,
     dedupe_multiplier,
-    enumerate_candidate_parts,
     search_ast_regular,
 )
 from .thin import (

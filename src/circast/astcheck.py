@@ -279,21 +279,8 @@ def verify_ast(A: TriplePartition) -> ASTReport:
     a2 = verify_a2(A)
     if isinstance(a2, AxiomFailure):
         return ASTReport(False, a3_action=a3, failures=[a2])
-    return ASTReport(True, a2, a3, _fixes_every_relation(A, a3), [])
-
-
-def _fixes_every_relation(A: TriplePartition, a3: dict) -> bool:
-    """True iff the A3 action fixes every nontrivial relation id."""
-    return all(a3[(rid, g)] == rid for rid in range(4, len(A.relations)) for g in SYM3)
-
-
-def is_symmetric_ast(A: TriplePartition) -> bool:
-    """True iff every nontrivial relation is fixed by all six coordinate
-    permutations; requires A3 to hold."""
-    a3 = verify_a3(A)
-    if isinstance(a3, AxiomFailure):
-        raise ValueError("A3 does not hold, no symmetry classification")
-    return _fixes_every_relation(A, a3)
+    symmetric = all(a3[(rid, g)] == rid for rid in range(4, len(A.relations)) for g in SYM3)
+    return ASTReport(True, a2, a3, symmetric, [])
 
 
 def symmetrise(I: PairSet) -> PairSet:

@@ -52,7 +52,6 @@ from .core import (
     PairSet,
     TernaryRelation,
     TriplePartition,
-    build_pair_universe,
     make_domain,
     strict_int,
 )
@@ -143,7 +142,7 @@ def _parse_seconds(text: str) -> float:
 
 
 def cmd_gen_x(args) -> int:
-    X = build_pair_universe(make_domain(strict_int(args.n, "n", INDEX_N_CAP)))
+    X = PairSet.universe(make_domain(strict_int(args.n, "n", INDEX_N_CAP)).n)
     if args.format == "json":
         _emit(X.to_obj())
     else:

@@ -51,6 +51,8 @@ class Domain:
 # Index-level input reads back every X(n) that gen-x writes; at the other two
 # caps, building all n^3 triples and a search each peak below 200 MB, as does
 # the JSON report that spells out the k^4 intersection numbers of k parts.
+# The measured exception: `orbits --group` with the trivial group at n = 64,
+# whose 249,984 singleton relations peak at 244 MB.
 INDEX_N_CAP = 256
 TRIPLE_N_CAP = 64
 SEARCH_N_CAP = 100
@@ -122,13 +124,13 @@ class PairSet:
     mask: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise DomainTooSmall(f"pair universe needs n >= 3, got n={self.n}")
+        make_domain(self.n)
         if self.mask < 0 or self.mask >> pair_capacity(self.n):
             raise ValueError("mask has bits outside the pair universe")
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "PairSet":
+        make_domain(n)  # before any pair is read against X(n)
         mask = 0
         for pair in pairs:
             pair = tuple(pair)
@@ -201,11 +203,6 @@ class PairSet:
         return f"PairSet(n={self.n}, pairs={list(self.pairs())})"
 
 
-def build_pair_universe(d: Domain) -> PairSet:
-    """All (n-1)(n-2) ordered pairs of distinct nonzero residues."""
-    return PairSet.universe(d.n)
-
-
 @dataclass(frozen=True)
 class TernaryRelation:
     """A set of triples over {0, ..., n-1}."""
@@ -214,8 +211,7 @@ class TernaryRelation:
     triples: frozenset
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise DomainTooSmall(f"relations need n >= 3, got n={self.n}")
+        make_domain(self.n)
         object.__setattr__(self, "triples", frozenset(self.triples))
 
     @classmethod
@@ -379,6 +375,7 @@ class IndexPartition:
     parts: tuple
 
     def __post_init__(self) -> None:
+        make_domain(self.n)
         parts = tuple(self.parts)
         if not parts:
             raise ValueError("partition needs at least one part")

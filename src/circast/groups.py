@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
 
-from .circulant import is_circulant
 from .core import (
     TRIPLE_N_CAP,
     CircastError,
@@ -184,6 +183,6 @@ def is_two_transitive(G: GroupSpec) -> bool:
 
 
 def shift_invariance_check(A: TriplePartition) -> bool:
-    """True iff every nontrivial relation is closed under the +1 shift, i.e.
-    the scheme is circulant."""
-    return all(is_circulant(rel) for rel in A.relations[4:])
+    """True iff the scheme is circulant: every relation keeps its id under the
+    diagonal shift; KeyError on a triple in no relation."""
+    return A.id_table[1] == A.n

@@ -42,15 +42,7 @@ from .circulant import (
     pair_bins,
     sym3_rank_maps,
 )
-from .core import (
-    IndexPartition,
-    Pair,
-    PairSet,
-    in_pair_universe,
-    pair_capacity,
-    pair_rank,
-    pair_unrank,
-)
+from .core import IndexPartition, PairSet, pair_capacity, pair_unrank
 
 
 # each worker is a whole interpreter process, so a count above this is a typo
@@ -128,32 +120,29 @@ class _Universe:
         maps = sym3_rank_maps(n)
         self.images = list(zip(*(maps[g] for g in SYM3 if g != IDENTITY)))
 
-    def regular_subsets(self, r: int, allowed: int, forced_rank: int, kind: str = "regular",
+    def regular_subsets(self, r: int, allowed: int, forced_rank: int, fixed: bool,
                         deadline: Optional[float] = None) -> Iterator[tuple]:
         """Pairs (mask, images) for r-regular subsets P of `allowed` through
         the forced pair, rows filled in order with lexicographic column
-        choices. `kind` is "regular" (every such P, images ()), "placeable"
-        (the P whose orbit under the index maps can be placed, when the pairs
-        outside `allowed` are a union of orbits) or "fixed" (the P that every
-        map fixes); the last two give the five non-identity images of P.
+        choices, with the five non-identity images of P: the P whose orbit
+        under the index maps can be placed, when the pairs outside `allowed`
+        are a union of orbits, or if `fixed` the P that every map fixes.
 
-        Each row gets r pairs; a prefix is dropped once a column or, unless
-        regular, a difference (j - i) mod n needs more pairs than rows are
-        left. The maps send the rows, columns and differences of P to the rows
-        and columns of its images (tau(i, j) = (-i, j - i), T swaps the two),
-        so all six images are regular. A placeable prefix is dropped once an
-        image meets it and a finished row outside it, so at the end an image
-        that meets P is P and, the maps forming a group, any two images are
-        equal or disjoint. A fixed prefix is dropped once an image meets a
-        finished row outside it. Raises TimeoutError past the deadline."""
+        Each row gets r pairs; a prefix is dropped once a column or a
+        difference (j - i) mod n needs more pairs than rows are left. The maps
+        send the rows, columns and differences of P to the rows and columns of
+        its images (tau(i, j) = (-i, j - i), T swaps the two), so all six
+        images are regular. A placeable prefix is dropped once an image meets
+        it and a finished row outside it, so at the end an image that meets P
+        is P and, the maps forming a group, any two images are equal or
+        disjoint. A fixed prefix is dropped once an image meets a finished row
+        outside it. Raises TimeoutError past the deadline."""
         n = self.n
         forced_row, forced_col = self.pair_of[forced_rank]
-        placeable = kind != "regular"
-        fixed = kind == "fixed"
         rows = []
         for ranks in self.row_ranks:
             opts = [
-                (j, n + (j - i) % n, rank, self.images[rank] if placeable else ())
+                (j, n + (j - i) % n, rank, self.images[rank])
                 for rank in ranks
                 if (allowed >> rank) & 1
                 for i, j in (self.pair_of[rank],)
@@ -161,9 +150,8 @@ class _Universe:
             if len(opts) < r:
                 return
             rows.append(opts)
-        # pairs still lacking in column c and difference d; a regular listing
-        # does not bound differences, so their counts start below 0
-        need = [0] + [r] * (n - 1) + [0] + [r if placeable else -n * n] * (n - 1)
+        # pairs still lacking in column c and difference d
+        need = [0] + [r] * (n - 1) + [0] + [r] * (n - 1)
 
         def rec(idx: int, mask: int, images: tuple) -> Iterator[tuple]:
             if deadline is not None and time.monotonic() > deadline:
@@ -193,7 +181,7 @@ class _Universe:
                     need[c] += 1
                     need[d] += 1
 
-        yield from rec(0, 0, (0,) * 5 if placeable else ())
+        yield from rec(0, 0, (0,) * 5)
 
 
 @lru_cache(maxsize=None)
@@ -201,25 +189,11 @@ def _universe(n: int) -> _Universe:
     return _Universe(n)
 
 
-def enumerate_candidate_parts(n: int, containing: Pair, max_nI: Optional[int] = None) -> Iterator[PairSet]:
-    """All regular subsets of X(n) through the given pair with valency at most
-    max_nI, by ascending valency and then lexicographically."""
-    containing = tuple(containing)
-    if not in_pair_universe(n, containing):
-        raise ValueError(f"{containing!r} is not in the pair universe for n={n}")
-    uni = _universe(n)
-    cap = n - 2 if max_nI is None else min(max_nI, n - 2)
-    forced = pair_rank(n, containing)
-    for r in range(1, cap + 1):
-        for mask, _ in uni.regular_subsets(r, uni.full, forced):
-            yield PairSet(n, mask)
-
-
 class _Search:
     def __init__(self, n: int, max_r: int, symmetric_only: bool, deadline: Optional[float]):
         self.uni = _universe(n)
         self.max_r = max_r
-        self.kind = "fixed" if symmetric_only else "placeable"
+        self.fixed = symmetric_only
         self.deadline = deadline
         self.found: list = []
         self.nodes = 0
@@ -234,7 +208,7 @@ class _Search:
         target = (allowed & -allowed).bit_length() - 1
         try:
             for r in range(1, self.max_r + 1):
-                for mask, images in uni.regular_subsets(r, allowed, target, self.kind, self.deadline):
+                for mask, images in uni.regular_subsets(r, allowed, target, self.fixed, self.deadline):
                     yield tuple(sorted({mask, *images}))
         except TimeoutError:
             self.complete = False

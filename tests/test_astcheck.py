@@ -18,7 +18,6 @@ from circast import (
     build_ast,
     derived_parameters,
     is_ast_regular,
-    is_symmetric_ast,
     make_domain,
     symmetrise,
     sym3_image,
@@ -274,11 +273,9 @@ def test_derived_parameters_and_identity_violation():
 
 
 def test_symmetry_classification():
-    assert is_symmetric_ast(coarse_ast(5))
-    assert not is_symmetric_ast(affine_ast(5))
-    assert is_symmetric_ast(coarse_ast(3))
     assert verify_ast(coarse_ast(5)).symmetric is True
     assert verify_ast(affine_ast(5)).symmetric is False
+    assert verify_ast(coarse_ast(3)).symmetric is True
 
 
 # --- symmetrise ---------------------------------------------------------------------

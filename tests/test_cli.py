@@ -22,7 +22,6 @@ from circast import (
     TriplePartition,
     build_ast,
     is_ast_regular,
-    is_symmetric_ast,
     verify_a1,
     verify_ast,
 )
@@ -191,8 +190,7 @@ def test_a3_failure_inside_verify_ast(tmp_path):
     B = TriplePartition(7, tuple(rels))
     assert not isinstance(verify_a1(B), AxiomFailure)
     assert [f.to_obj() for f in verify_ast(B).failures] == [{"axiom": "A3", "relation": 4, "element": "(12)"}]
-    with pytest.raises(ValueError):
-        is_symmetric_ast(B)
+    assert verify_ast(B).symmetric is None
     path = write_json(tmp_path, "swapped.json", B.to_obj())
     code, obj = run_json(["verify-ast", "--in", path])
     assert code == 1 and obj["failures"] == [{"axiom": "A3", "relation": 4, "element": "(12)"}]
@@ -518,6 +516,12 @@ def test_input_must_be_an_object(tmp_path, command, obj, capsys):
         ("verify-ast", {"n": 0, "relations": [{"id": 0, "triples": [[0, 0, 0]]}]}, "base set needs n >= 3, got n=0"),
         ("params", {"n": -1, "relations": [{"id": 0, "triples": [[0, 0, 0]]}]}, "base set needs n >= 3, got n=-1"),
         ("thin", {"n": 0, "triples": [[0, 0, 0]]}, "base set needs n >= 3, got n=0"),
+        ("verify-partition", {"n": 2, "parts": []}, "base set needs n >= 3, got n=2"),
+        ("verify-partition", {"n": 2, "parts": [[[1, 2]]]}, "base set needs n >= 3, got n=2"),
+        ("verify-partition", {"n": -5, "parts": [[[0, 1]]]}, "base set needs n >= 3, got n=-5"),
+        ("verify-partition", {"n": 2, "parts": [[]]}, "base set needs n >= 3, got n=2"),
+        ("decompose", {"n": 1, "pairs": [[1, 2]]}, "base set needs n >= 3, got n=1"),
+        ("symmetrise", {"n": 1, "pairs": [[1, 2]]}, "base set needs n >= 3, got n=1"),
     ],
 )
 def test_nested_json_types_are_named(tmp_path, command, obj, message, capsys):

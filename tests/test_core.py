@@ -9,7 +9,6 @@ from circast import (
     PairSet,
     TernaryRelation,
     TriplePartition,
-    build_pair_universe,
     make_domain,
     pair_capacity,
     trivial_relations,
@@ -33,16 +32,16 @@ def test_triple_partition_needs_a_base_set():
 
 
 def test_pair_universe_small():
-    assert list(build_pair_universe(make_domain(3))) == [(1, 2), (2, 1)]
-    assert list(build_pair_universe(make_domain(4))) == [
+    assert list(PairSet.universe(3)) == [(1, 2), (2, 1)]
+    assert list(PairSet.universe(4)) == [
         (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2),
     ]
-    assert len(build_pair_universe(make_domain(10))) == 72
+    assert len(PairSet.universe(10)) == 72
 
 
 def test_pair_universe_size_formula():
     for n in range(3, 13):
-        X = build_pair_universe(make_domain(n))
+        X = PairSet.universe(n)
         assert len(X) == (n - 1) * (n - 2) == pair_capacity(n)
 
 

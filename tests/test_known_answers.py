@@ -4,13 +4,17 @@ The AGL(1,p) orbit partition is the 2-transitive example of Mesner and
 Bhattacharya (1990). A cyclic Steiner triple system on Z_n has, as its index
 set, the pairs (i, j) with {0, i, j} a block; every index map fixes that set,
 and with its complement it is an AST-regular two-part partition (cyclic STS
-exist exactly for n = 1, 3 mod 6 with n != 9, Peltesohn 1939). The other
-counts below pin the complete `--symmetric` searches at n = 10 and 11.
+exist exactly for n = 1, 3 mod 6 with n != 9, Peltesohn 1939). Conversely,
+a Sym(3)-fixed index set of valency 1 is a union of Sym(3) pair orbits that
+holds each row once, so listing those by exact cover lists the cyclic STS.
+The other counts below pin the complete `--symmetric` searches at n = 10 and
+11.
 """
 
 import pytest
 
 from circast import (
+    SYM3,
     IndexPartition,
     PairSet,
     SearchConfig,
@@ -20,6 +24,7 @@ from circast import (
     is_ast_regular,
     orbit_partition_on_triples,
     search_ast_regular,
+    sym3_image,
     verify_ast,
 )
 
@@ -71,3 +76,49 @@ def test_symmetric_search_is_complete(n, nodes, valencies):
     assert result.nodes == nodes
     assert [[s.n_I for s in hit.report.part_stats] for hit in result.hits] == valencies
     assert result.hits[0].partition == _one_part(n)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_agl1_partition_passes_both_checks(p):
+    P = extract_partition(orbit_partition_on_triples(agl1(p)))
+    assert is_ast_regular(P).ok
+    assert verify_ast(build_ast(P)).ok
+
+
+def _fixed_valency_one_sets(n):
+    """Every Sym(3)-fixed index set of valency 1 in X(n): the unions of Sym(3)
+    pair orbits that hold each row exactly once, by exact cover."""
+    orbits = {}
+    for pair in PairSet.universe(n):
+        single = PairSet.from_pairs(n, [pair])
+        orbit = single
+        for g in SYM3:
+            orbit = orbit | sym3_image(single, g)
+        rows = [i for i, _ in orbit]
+        if len(set(rows)) == len(rows):
+            orbits[orbit.mask] = (orbit, set(rows))
+    found = []
+
+    def cover(chosen, rows_left):
+        if not rows_left:
+            found.append(PairSet(n, sum(orbit.mask for orbit in chosen)))
+            return
+        row = min(rows_left)
+        for orbit, rows in orbits.values():
+            if row in rows and rows <= rows_left:
+                cover(chosen + [orbit], rows_left - rows)
+
+    cover([], set(range(1, n)))
+    return found
+
+
+@pytest.mark.parametrize("n, count", [(7, 2), (9, 0), (13, 4), (15, 4)])
+def test_fixed_valency_one_sets_are_the_cyclic_sts(n, count):
+    sets = _fixed_valency_one_sets(n)
+    assert len(sets) == len(set(sets)) == count
+    partitions = {IndexPartition(n, (I, PairSet.universe(n) - I)) for I in sets}
+    for P in partitions:
+        assert is_ast_regular(P).ok
+        assert verify_ast(build_ast(P)).ok
+    if n == 7:
+        assert partitions == {_cyclic_sts_pair(7, (0, 1, 3)), _cyclic_sts_pair(7, (0, 1, 5))}

@@ -39,7 +39,6 @@ from circast import (
     TriplePartition,
     agl1,
     circulant_structure_constant,
-    enumerate_candidate_parts,
     expand,
     expand_partition,
     is_ast_regular,
@@ -336,20 +335,12 @@ def test_pruned_listing_matches_reference_orbits(cover):
 
 def test_root_listing_matches_reference_orbits():
     """Nothing covered, every valency: the whole root listing for n = 3..7
-    and its `--symmetric` listing, and the unpruned candidates through a pair
-    for n = 3..6."""
+    and its `--symmetric` listing."""
     for n in range(3, 8):
         reference = _reference_branches(n, ())
         assert list(_Search(n, n - 2, False, None).branches(0)) == reference
         fixed = [orbit for orbit in reference if len(orbit) == 1]
         assert list(_Search(n, n - 2, True, None).branches(0)) == fixed
-    for n in range(3, 7):
-        expected = [
-            part
-            for r in range(1, n - 1)
-            for part in oracles.regular_subsets(n, r, PairSet.universe(n).pairs(), (2, 1))
-        ]
-        assert [sorted(p.pairs()) for p in enumerate_candidate_parts(n, (2, 1))] == expected
 
 
 # --- verify_a2 on edited orbit schemes -------------------------------------------

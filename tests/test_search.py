@@ -15,9 +15,7 @@ from circast import (
     SearchConfig,
     build_ast,
     dedupe_multiplier,
-    enumerate_candidate_parts,
     is_ast_regular,
-    regularity_stats,
     search_ast_regular,
     sym3_image,
     verify_ast,
@@ -26,39 +24,6 @@ from circast import (
 
 def partition_keys(result):
     return {tuple(part.pairs() for part in hit.partition.parts) for hit in result.hits}
-
-
-# --- candidate enumeration --------------------------------------------------------
-
-
-def test_candidates_n4_through_12_valency_one():
-    parts = list(enumerate_candidate_parts(4, (1, 2), 1))
-    assert [sorted(p.pairs()) for p in parts] == [[(1, 2), (2, 3), (3, 1)]]
-
-
-def test_candidates_n3():
-    parts = list(enumerate_candidate_parts(3, (1, 2), 1))
-    assert parts == [PairSet.universe(3)]
-
-
-def test_candidates_include_universe_at_max_valency():
-    parts = list(enumerate_candidate_parts(5, (1, 2)))
-    assert PairSet.universe(5) in parts
-
-
-def test_candidates_are_regular_and_contain_the_pair():
-    for n in (4, 5, 6):
-        for cap in (1, 2, None):
-            for part in enumerate_candidate_parts(n, (1, 2), cap):
-                stats = regularity_stats(part)
-                assert stats.ok
-                assert cap is None or stats.n_I <= cap
-                assert (1, 2) in part
-
-
-def test_candidates_rejects_pair_outside_universe():
-    with pytest.raises(ValueError):
-        list(enumerate_candidate_parts(5, (0, 1)))
 
 
 # --- the search ---------------------------------------------------------------------
