@@ -7,15 +7,16 @@ regularity condition), producing the full tensor of intersection numbers
 p_{ijk}^l together with the three marginal parameter families.
 
 A1, A2 and A3 read one table, the relation id of every triple laid out flat
-at x*n*n + y*n + z with its shift orbit: `TriplePartition.id_table`, which a
-partition builds once, when `validate` checks it, and keeps. verify_a1 counts
-the ids in each row (x, y, .). verify_a2 bins, for every triple (x,y,z), each
-w in Omega by the ids of (w,y,z), (x,w,z), (x,y,w): three slices of the table,
-counted by one C-level Counter over their zip (O(n^4) work, almost all in C);
-the count vector must be constant across each relation. verify_a3 counts the pairs (id of t, id of g(t)) in one Counter per
-permutation g. The marginals are tensor sums over the bins of R3 = {(x,x,y)}
-and R1 = {(x,y,y)}: those bins count the completions of a pair of distinct
-points in each slot, and A2 makes them constant, so they need no recount.
+at x*n*n + y*n + z with its shift orbit: `TriplePartition.id_table`, built
+once by `validate` or stored by the partition. verify_a1 counts the ids in
+each row (x, y, .). verify_a2 bins, for every triple (x,y,z), each w in Omega
+by the ids of (w,y,z), (x,w,z), (x,y,w): three slices of the table, counted
+by one C-level Counter over their zip (O(n^4) work, almost all in C); the
+count vector must be constant across each relation. verify_a3 counts the
+pairs (id of t, id of g(t)) in one Counter per permutation g. The marginals
+are tensor sums over the bins of R3 = {(x,x,y)} and R1 = {(x,y,y)}: those
+bins count the completions of a pair of distinct points in each slot, and A2
+makes them constant, so they need no recount.
 
 When the diagonal shift t -> t + (1,1,1) keeps every id in the table (tested
 row by row as the table is built), it is an automorphism: it maps the
@@ -136,7 +137,7 @@ def verify_a1(A: TriplePartition) -> Union[dict, AxiomFailure]:
             for rid in counts.keys() | ref.keys():
                 if rid >= 4 and counts[rid] != ref[rid]:
                     first.setdefault(rid, ((x, y), counts[rid]))
-    for rid in range(4, len(A.relations)):
+    for rid in range(4, len(A.sizes)):
         if rid in first:
             pair, count = first[rid]
             return AxiomFailure(
@@ -151,7 +152,7 @@ def verify_a1(A: TriplePartition) -> Union[dict, AxiomFailure]:
             )
         if ref[rid] == 0:
             return AxiomFailure("A1", {"relation": rid, "reason": "zero count"})
-    return {rid: ref[rid] for rid in range(4, len(A.relations))}
+    return {rid: ref[rid] for rid in range(4, len(A.sizes))}
 
 
 def verify_a3(A: TriplePartition) -> Union[dict, AxiomFailure]:
@@ -164,7 +165,6 @@ def verify_a3(A: TriplePartition) -> Union[dict, AxiomFailure]:
     decides this for every relation at once."""
     n = A.n
     flat, orbit = A.id_table
-    size = [len(rel) for rel in A.relations]
     images = {}
     for g in SYM3:
         # t^g holds t[k] at position g[k] (permute_triple), so its index is
@@ -175,10 +175,10 @@ def verify_a3(A: TriplePartition) -> Union[dict, AxiomFailure]:
             start = x * sx + y * sy
             moved += flat[start : start + sz * (n - 1) + 1 : sz]
         for (i, j), count in Counter(zip(flat, moved)).items():
-            if count * orbit == size[i] == size[j]:
+            if count * orbit == A.sizes[i] == A.sizes[j]:
                 images[(i, g)] = j
     action = {}
-    for rid, g in product(range(len(A.relations)), SYM3):
+    for rid, g in product(range(len(A.sizes)), SYM3):
         if (rid, g) not in images:
             return AxiomFailure("A3", {"relation": rid, "element": SYM3_NAME[g]})
         action[(rid, g)] = images[(rid, g)]
@@ -233,7 +233,7 @@ def verify_a2(A: TriplePartition) -> Union[StructureTensor, AxiomFailure]:
     # a triple (x,x,y) of R3 counts in bin (i,.,.) the w with (w,x,y) in R_i,
     # in bin (.,j,.) those with (x,w,y) in R_j; (x,y,y) of R1 counts in bin
     # (.,.,k) the w with (x,y,w) in R_k
-    n1, n2, n3 = ({rid: 0 for rid in range(4, len(A.relations))} for _ in range(3))
+    n1, n2, n3 = ({rid: 0 for rid in range(4, len(A.sizes))} for _ in range(3))
     for (i, j, k, l), count in p.items():
         for marginal, rid, base in ((n1, i, 3), (n2, j, 3), (n3, k, 1)):
             if l == base and rid in marginal:
@@ -279,7 +279,7 @@ def verify_ast(A: TriplePartition) -> ASTReport:
     a2 = verify_a2(A)
     if isinstance(a2, AxiomFailure):
         return ASTReport(False, a3_action=a3, failures=[a2])
-    symmetric = all(a3[(rid, g)] == rid for rid in range(4, len(A.relations)) for g in SYM3)
+    symmetric = all(a3[(rid, g)] == rid for rid in range(4, len(A.sizes)) for g in SYM3)
     return ASTReport(True, a2, a3, symmetric, [])
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product
 from typing import Optional, Union
 
 from .core import (
@@ -34,10 +35,8 @@ from .core import (
     TernaryRelation,
     TriplePartition,
     iter_bits,
-    make_domain,
     pair_rank,
     pair_unrank,
-    trivial_relations,
     verify_trivial,
 )
 
@@ -409,9 +408,16 @@ def is_ast_regular(P: IndexPartition) -> ASTRegularityReport:
 
 def expand_partition(P: IndexPartition) -> TriplePartition:
     """The four trivial relations followed by the expansion of each part, ids
-    4..3+|parts|; unchecked, for partitions already known to be AST-regular."""
-    relations = list(trivial_relations(make_domain(P.n))) + [expand(part) for part in P.parts]
-    return TriplePartition(P.n, tuple(relations))
+    4..3+|parts|; unchecked, for partitions already known to be AST-regular.
+    Its row (x, y, .) is row (0, y-x, .) of the fibre x = 0 rotated by x."""
+    n = P.n
+    fibre = [[0] + [3] * (n - 1)] + [[2] + [1] * (n - 1) for _ in range(1, n)]
+    for rid, part in enumerate(P.parts, 4):
+        for i, j in part:
+            fibre[i][j] = rid
+    rows = ((fibre[(y - x) % n] * 2)[n - x : 2 * n - x] for x, y in product(range(n), repeat=2))
+    sizes = [n] + [n * (n - 1)] * 3 + [n * len(part) for part in P.parts]
+    return TriplePartition.from_table(n, list(chain.from_iterable(rows)), sizes)
 
 
 def build_ast(P: IndexPartition) -> TriplePartition:
@@ -424,17 +430,23 @@ def build_ast(P: IndexPartition) -> TriplePartition:
 
 
 def extract_partition(A: TriplePartition) -> IndexPartition:
-    """Recover the partition of X(n) from a circulant scheme; inverse of
-    :func:`build_ast` up to relation order."""
-    if not verify_trivial(A) or len(A.relations) < 5:
+    """Recover the partition of X(n) from a circulant scheme, read off the
+    fibre x = 0 of its table; inverse of :func:`build_ast` up to relation
+    order. A scheme the diagonal shift moves names its first moved relation."""
+    n = A.n
+    try:
+        A.validate()
+    except ValueError as exc:
+        raise NotCirculantAST(f"not a triple partition: {exc}") from exc
+    if len(A.sizes) < 5 or not verify_trivial(A):
         raise NotCirculantAST("relations 0..3 are not the trivial relations")
-    parts = []
-    for rid in range(4, len(A.relations)):
-        try:
-            parts.append(extract(A.relations[rid]))
-        except (NotCirculant, NotNontrivial) as exc:
-            raise NotCirculantAST(
-                f"relation {rid} is not a nontrivial 3-circulant: {exc}",
-                witness=exc.witness,
-            ) from exc
-    return IndexPartition(A.n, tuple(parts))
+    flat, orbit = A.id_table
+    if orbit == 1:  # so a relation past the trivial ones is not shift-closed
+        rid, moved = next((rid, m) for rid in range(4, len(A.sizes)) if (m := _unshifted(A.relations[rid])))
+        t = min(moved)
+        message = f"relation {rid} is not a nontrivial 3-circulant: shift of {t} is missing"
+        raise NotCirculantAST(message, witness=t)
+    masks = [0] * len(A.sizes)
+    for rank, (i, j) in enumerate(PairSet.universe(n)):
+        masks[flat[i * n + j]] |= 1 << rank
+    return IndexPartition(n, tuple(PairSet(n, mask) for mask in masks[4:]))

@@ -178,8 +178,7 @@ def cmd_build(args) -> int:
     if args.format == "json" or args.out:
         _emit(A.to_obj(), args.out)
     if args.format != "json":
-        sizes = [len(rel) for rel in A.relations]
-        print(f"scheme with {len(A.relations)} relations, sizes {sizes}")
+        print(f"scheme with {len(A.sizes)} relations, sizes {A.sizes}")
     return 0
 
 
@@ -264,7 +263,7 @@ def cmd_orbits(args) -> int:
     if args.format == "json":
         _emit({"partition": A.to_obj(), "circulant": circulant, "ast_ok": ast_ok})
     else:
-        sizes = [len(rel) for rel in A.relations[4:]]
+        sizes = A.sizes[4:]
         print(f"{len(sizes)} nontrivial orbits, sizes {sizes}")
         print(f"circulant: {circulant}; AST: {ast_ok}")
     return 0

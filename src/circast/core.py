@@ -9,14 +9,14 @@ and are stored as bitmasks keyed by the lexicographic rank of (i, j) in X(n),
 so the subset/disjointness/union tests that the search leans on are single
 integer operations. Relations and the two partition types canonicalise their
 contents: equal values compare equal and serialise to identical JSON. A triple
-partition builds its relation-id table once, outside equality and hashing.
+partition from JSON or from circast's builders is its relation-id table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional
 
 Pair = tuple[int, int]
@@ -51,8 +51,6 @@ class Domain:
 # Index-level input reads back every X(n) that gen-x writes; at the other two
 # caps, building all n^3 triples and a search each peak below 200 MB, as does
 # the JSON report that spells out the k^4 intersection numbers of k parts.
-# The measured exception: `orbits --group` with the trivial group at n = 64,
-# whose 249,984 singleton relations peak at 244 MB.
 INDEX_N_CAP = 256
 TRIPLE_N_CAP = 64
 SEARCH_N_CAP = 100
@@ -273,17 +271,51 @@ def trivial_relations(d: Domain) -> tuple[TernaryRelation, ...]:
 
 
 def verify_trivial(A: "TriplePartition") -> bool:
-    """True iff relations 0..3 are exactly the four trivial relations."""
-    return tuple(A.relations[:4]) == trivial_relations(make_domain(A.n))
+    """True iff relations 0..3 are exactly the four trivial relations, read
+    off the sizes and the table; KeyError when A does not cover Omega^3."""
+    n, table = A.n, A.table
+    trivial = enumerate(trivial_relations(make_domain(n)))
+    return A.sizes[:4] == [n] + [n * (n - 1)] * 3 and all(
+        table[(x * n + y) * n + z] == rid for rid, rel in trivial for x, y, z in rel.triples
+    )
+
+
+def _flat_indices(n: int, triples) -> list:
+    """The index x*n*n + y*n + z of each triple, once C-level passes find ints
+    in 0..n-1 only; else from_triples names the first bad triple."""
+    nn = n * n
+    try:
+        values = list(chain.from_iterable(triples))
+        distinct = set(values)
+        if set(map(type, values)) <= {int} and 0 <= min(distinct, default=0) and max(distinct, default=0) < n:
+            return [x * nn + y * n + z for x, y, z in triples]
+    except (TypeError, ValueError):
+        pass
+    return _flat_indices(n, TernaryRelation.from_triples(n, triples).triples)
+
+
+def _partition_table(n: int, sizes: list, build):
+    """build() once no relation is empty and the sizes sum to n^3, when its
+    KeyError on a triple in no relation means an overlap or a stray triple."""
+    if 0 in sizes:
+        raise ValueError(f"relation {sizes.index(0)} is empty")
+    if sum(sizes) == n**3:
+        try:
+            return build()
+        except KeyError:
+            pass
+    raise ValueError("relations do not partition the triple space")
 
 
 @dataclass(frozen=True)
 class TriplePartition:
-    """A labelled partition of Omega^3; index i in `relations` is relation id i.
+    """A labelled partition of Omega^3: relation id i is index i of
+    `relations` and `sizes`, and the id of (x, y, z) is `table[x*n*n+y*n+z]`.
 
     Ids 0..3 are reserved for the trivial relations when present. The
-    constructor trusts its input; use :meth:`validate` or :meth:`from_obj`
-    when partition-ness is not guaranteed by construction.
+    constructor trusts its relations; use :meth:`validate` when partition-ness
+    is not guaranteed by construction. A partition stored as its table and
+    sizes (:meth:`from_table`) builds `relations`, the field's default, lazily.
     """
 
     n: int
@@ -296,10 +328,30 @@ class TriplePartition:
             if not isinstance(rel, TernaryRelation) or rel.n != self.n:
                 raise ValueError("relations must be TernaryRelations over the same base set")
         object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "sizes", [len(rel) for rel in relations])
+
+    @classmethod
+    def from_table(cls, n: int, table: list, sizes: list) -> "TriplePartition":
+        """The partition with this relation-id table and these sizes, trusted."""
+        part = cls.__new__(cls)
+        vars(part).update(n=n, table=table, sizes=sizes)
+        return part
 
     @property
     def m(self) -> int:
-        return len(self.relations) - 1
+        return len(self.sizes) - 1
+
+    def _by_id(self, triples: Iterable) -> list:
+        """Each relation's triples, in the given form and lexicographic order."""
+        out = [[] for _ in self.sizes]
+        for rid, t in zip(self.table, triples):
+            out[rid].append(t)
+        return out
+
+    @cached_property
+    def relations(self) -> tuple:  # the default of the field above
+        triples = self._by_id(product(range(self.n), repeat=3))
+        return tuple(TernaryRelation(self.n, frozenset(rel)) for rel in triples)
 
     def triple_ids(self) -> list:
         """The id of the relation holding each triple, laid out flat at
@@ -310,12 +362,16 @@ class TriplePartition:
         return list(map(ids.__getitem__, product(range(self.n), repeat=3)))
 
     @cached_property
+    def table(self) -> list:
+        return self.triple_ids()
+
+    @cached_property
     def id_table(self) -> tuple[list, int]:
-        """The table of :meth:`triple_ids` and the number of triples each
-        triple of the fibre x = 0 stands for: n when the diagonal shift keeps
-        every id, else 1. Built once; KeyError on a triple in no relation."""
+        """The :attr:`table` and the number of triples each triple of the
+        fibre x = 0 stands for: n when the diagonal shift keeps every id, else
+        1. Built once; KeyError on a triple in no relation."""
         n = self.n
-        flat = self.triple_ids()
+        flat = self.table
         rows = [flat[start : start + n] for start in range(0, n**3, n)]  # (x, y, .) at x*n + y
         closed = all(  # row (x+1, y+1, .) is row (x, y, .) rotated right by one
             rows[(x + 1) % n * n + (y + 1) % n] == row[-1:] + row[:-1]
@@ -324,44 +380,33 @@ class TriplePartition:
         return flat, n if closed else 1
 
     def validate(self) -> None:
-        """Check nonempty relations, pairwise disjoint, union = Omega^3: the
-        sizes must sum to n^3, checked before anything of size n is built, and
-        :attr:`id_table` must build, which leaves no room for an overlap or
-        for a triple outside Omega^3."""
-        for rid, rel in enumerate(self.relations):
-            if len(rel) == 0:
-                raise ValueError(f"relation {rid} is empty")
-        if sum(map(len, self.relations)) == self.n**3:
-            try:
-                self.id_table
-                return
-            except KeyError:
-                pass
-        raise ValueError("relations do not partition the triple space")
+        """Check nonempty relations, pairwise disjoint, union = Omega^3."""
+        _partition_table(self.n, self.sizes, lambda: self.id_table)
 
     def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "relations": [
-                {"id": rid, "triples": [list(t) for t in rel.sorted_triples()]}
-                for rid, rel in enumerate(self.relations)
-            ],
-        }
+        if "relations" in vars(self):
+            rows = [[list(t) for t in rel.sorted_triples()] for rel in self.relations]
+        else:
+            rows = self._by_id(map(list, product(range(self.n), repeat=3)))
+        return {"n": self.n, "relations": [{"id": rid, "triples": triples} for rid, triples in enumerate(rows)]}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TriplePartition":
+        """Checked and stored as its table; a triple listed twice counts once."""
         n = make_domain(strict_int(obj["n"], "n")).n
         entries = json_typed(obj["relations"], list, "relations", dict)
         ids = sorted(strict_int(e["id"], "relation id") for e in entries)
         if ids != list(range(len(entries))):
             raise ValueError("relation ids must be exactly 0..m")
-        rels: list = [None] * len(entries)
+        cells: dict = {}  # triple index -> relation id
+        sizes = [0] * len(entries)
         for k, e in enumerate(entries):
             triples = json_typed(e["triples"], list, f"relations[{k}].triples")
-            rels[e["id"]] = TernaryRelation.from_triples(n, triples)
-        part = cls(n, tuple(rels))
-        part.validate()
-        return part
+            rel = dict.fromkeys(_flat_indices(n, triples), e["id"])
+            sizes[e["id"]] = len(rel)
+            cells.update(rel)
+        table = _partition_table(n, sizes, lambda: list(map(cells.__getitem__, range(n**3))))
+        return cls.from_table(n, table, sizes)
 
     def __repr__(self) -> str:
         return f"TriplePartition(n={self.n}, m={self.m})"

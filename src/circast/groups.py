@@ -14,12 +14,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import permutations
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .core import (
     TRIPLE_N_CAP,
     CircastError,
-    TernaryRelation,
     TriplePartition,
     json_typed,
     make_domain,
@@ -121,33 +120,40 @@ class GroupSpec:
         return cls(n, tuple(parse_cycles(text, n) for text in generators))
 
 
-def _orbit(G: GroupSpec, start: tuple) -> set:
-    """The orbit of a tuple of two or more points under G acting on each
-    coordinate: the closure of {start} under the generators."""
-    orbit = {start}
+def _orbit(G: GroupSpec, start: tuple, table: list, rid) -> int:
+    """The size of the orbit of start, two or more points, under G acting on
+    each coordinate; table, None at tuples in no orbit yet, gets rid at each
+    tuple of the orbit, at the index that reads the tuple in base n."""
+    weights = [G.n**k for k in reversed(range(len(start)))]
+    table[sum(map(mul, start, weights))] = rid
     frontier = [start]
+    size = 1
     while frontier:
         image = itemgetter(*frontier.pop())  # a tuple, as it reads two or more
         for g in G.generators:
             img = image(g.images)
-            if img not in orbit:
-                orbit.add(img)
+            k = sum(map(mul, img, weights))
+            if table[k] is None:
+                table[k] = rid
+                size += 1
                 frontier.append(img)
-    return orbit
+    return size
 
 
 def orbit_partition_on_triples(G: GroupSpec) -> TriplePartition:
     """The candidate scheme whose nontrivial relations are the orbits of G on
-    pairwise-distinct triples, ids assigned by least triple."""
-    d = make_domain(G.n)
-    seen: set = set()
-    orbit_relations = []
-    for t in permutations(range(G.n), 3):
-        if t not in seen:
-            orbit = _orbit(G, t)
-            seen |= orbit
-            orbit_relations.append(TernaryRelation(G.n, orbit))
-    return TriplePartition(G.n, trivial_relations(d) + tuple(orbit_relations))
+    pairwise-distinct triples, ids assigned by least triple. Each orbit's id
+    goes into the relation-id table as the orbit is closed."""
+    n = G.n
+    table = [None] * n**3
+    for rid, rel in enumerate(trivial_relations(make_domain(n))):
+        for x, y, z in rel.triples:
+            table[(x * n + y) * n + z] = rid
+    sizes = [n] + [n * (n - 1)] * 3
+    for x, y, z in permutations(range(n), 3):
+        if table[(x * n + y) * n + z] is None:
+            sizes.append(_orbit(G, (x, y, z), table, len(sizes)))
+    return TriplePartition.from_table(n, table, sizes)
 
 
 def _least_primitive_root(p: int) -> int:
@@ -179,7 +185,7 @@ def is_two_transitive(G: GroupSpec) -> bool:
     n = G.n
     if n < 2:
         return False
-    return len(_orbit(G, (0, 1))) == n * (n - 1)
+    return _orbit(G, (0, 1), [None] * n * n, 0) == n * (n - 1)
 
 
 def shift_invariance_check(A: TriplePartition) -> bool:

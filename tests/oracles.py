@@ -6,7 +6,7 @@ the bitmask representation and the code paths under test.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from sympy.utilities.iterables import multiset_partitions
 
@@ -17,10 +17,13 @@ from circast import (
     IndexPartition,
     PairSet,
     StructureTensor,
+    TernaryRelation,
     is_ast_regular,
+    make_domain,
     pair_image,
     permute_relation,
 )
+from circast.core import json_typed, strict_int
 
 
 def brute_structure_constant(n, I, J, K, L):
@@ -308,3 +311,32 @@ def reference_verify_a2(A):
                 )
             marginals[axis - 1][rid] = value
     return StructureTensor(n, A.m, p, *marginals)
+
+
+def reference_triple_partition(obj):
+    """The triple-partition reader as it was before partitions were stored as
+    relation-id tables: each relation read by TernaryRelation.from_triples in
+    file order, the relations checked nonempty in id order and their sizes
+    against n^3, then every triple looked up in one dict of all the triples.
+    Returns (table, relations); raises the reader's errors."""
+    n = make_domain(strict_int(obj["n"], "n")).n
+    entries = json_typed(obj["relations"], list, "relations", dict)
+    ids = sorted(strict_int(e["id"], "relation id") for e in entries)
+    if ids != list(range(len(entries))):
+        raise ValueError("relation ids must be exactly 0..m")
+    rels = [None] * len(entries)
+    for k, e in enumerate(entries):
+        triples = json_typed(e["triples"], list, f"relations[{k}].triples")
+        rels[e["id"]] = TernaryRelation.from_triples(n, triples)
+    for rid, rel in enumerate(rels):
+        if len(rel) == 0:
+            raise ValueError(f"relation {rid} is empty")
+    if sum(map(len, rels)) == n**3:
+        lookup = {}
+        for rid, rel in enumerate(rels):
+            lookup.update(dict.fromkeys(rel.triples, rid))
+        try:
+            return list(map(lookup.__getitem__, product(range(n), repeat=3))), tuple(rels)
+        except KeyError:
+            pass
+    raise ValueError("relations do not partition the triple space")

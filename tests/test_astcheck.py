@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -28,6 +29,7 @@ from circast import (
     verify_ast,
     verify_trivial,
 )
+from circast import cli
 
 
 def coarse_ast(n):
@@ -245,16 +247,26 @@ def test_verify_ast_reports_a_triple_outside_the_triple_space():
     ]
 
 
-def test_verify_ast_builds_the_relation_id_table_once(monkeypatch):
-    """from_obj checks the partition by building its table, and the axiom
-    checks read that same table: one triple_ids scan per partition."""
-    calls = []
+def test_verify_ast_builds_the_relation_id_table_once(monkeypatch, tmp_path):
+    """from_obj stores the table it reads, so the axiom checks need no
+    triple_ids scan, and verify-ast, extract and params read a shift-closed
+    scheme without ever building its relations as sets of triples."""
+    calls, read = [], []
     triple_ids = TriplePartition.triple_ids
     monkeypatch.setattr(TriplePartition, "triple_ids", lambda A: calls.append(A) or triple_ids(A))
+    from_table = TriplePartition.from_table.__func__
+    monkeypatch.setattr(
+        TriplePartition, "from_table", classmethod(lambda cls, *args: read.append(from_table(cls, *args)) or read[-1])
+    )
+    path = tmp_path / "ast.json"
     for A in (coarse_ast(5), affine_ast(7)):
-        calls.clear()
         assert verify_ast(TriplePartition.from_obj(A.to_obj())).ok
-        assert len(calls) == 1
+        path.write_text(json.dumps(A.to_obj()))
+        for command in ("verify-ast", "extract", "params"):
+            read.clear()
+            assert cli.main([command, "--in", str(path)]) == 0
+            assert len(read) == 1 and "relations" not in vars(read[0])
+    assert calls == []
 
 
 def test_derived_parameters_and_identity_violation():

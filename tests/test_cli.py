@@ -387,6 +387,26 @@ def test_table_report_memory_does_not_grow_with_k4(tmp_path):
     assert int(peak_kb) < 80 * 1024
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_trivial_group_orbits_at_the_cap_peak_below_200_mb(tmp_path):
+    """`orbits --group` with no generators at n = 64, the trivial group, makes
+    every nontrivial triple its own relation: 249,984 of them. Stored as one
+    relation-id table, its JSON report keeps the whole process below the
+    200 MB that the n caps promise. The child writes the report to /dev/null
+    and then prints its own peak, VmHWM."""
+    path = write_json(tmp_path, "trivial64.json", {"n": 64, "generators": []})
+    code = (
+        "import os, sys; from circast.cli import main; out = sys.stdout; sys.stdout = open(os.devnull, 'w'); "
+        "code = main(sys.argv[1:]); "
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')), file=out); "
+        "sys.exit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(circast.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", code, "orbits", "--group", path, "--format", "json"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 200 * 1024
+
+
 def test_jobs_above_the_bound_are_refused(monkeypatch, capsys):
     """--jobs above MAX_JOBS exits 2; the pool is replaced so that a broken
     bound starts no process either."""

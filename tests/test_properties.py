@@ -500,6 +500,122 @@ def test_verify_a2_raises_on_a_missing_triple():
             check(A)
 
 
+# --- the triple-partition reader against the reference reader -------------------
+
+
+@st.composite
+def partition_files(draw):
+    """The JSON of a triple partition, its relations and the triples of each
+    in a drawn order, a triple sometimes listed twice: an AGL(1,p) orbit
+    scheme, as it is or fused, or with triples moved or swapped, or the
+    one-part scheme of X(n)."""
+    edit = draw(st.sampled_from(["none", "moved", "swapped", "fused", "one-part"]))
+    if edit == "one-part":
+        n = draw(st.integers(3, 6))
+        A = expand_partition(IndexPartition(n, (PairSet.universe(n),)))
+    else:
+        A = orbit_partition_on_triples(agl1(draw(st.sampled_from([5, 7]))))
+        A = {"none": lambda draw, A: A, "moved": _moved, "swapped": _swapped, "fused": _fused}[edit](draw, A)
+    obj = A.to_obj()
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(obj["relations"])
+    for entry in obj["relations"]:
+        rng.shuffle(entry["triples"])
+    if draw(st.booleans()):
+        triples = rng.choice(obj["relations"])["triples"]
+        triples.append(list(rng.choice(triples)))
+    return obj
+
+
+@PROPERTY
+@given(partition_files())
+def test_from_obj_reads_what_the_reference_reader_reads(obj):
+    """The table stored by from_obj, and the relations built from it, are
+    those of the reader that built every relation first."""
+    table, relations = oracles.reference_triple_partition(obj)
+    A = TriplePartition.from_obj(obj)
+    assert A.table == table and A.sizes == [len(rel) for rel in relations]
+    assert A.relations == relations
+
+
+def _one_part_4():
+    return expand_partition(IndexPartition(4, (PairSet.universe(4),))).to_obj()
+
+
+def _set_triple(value, rid=4):
+    def edit(obj):
+        obj["relations"][rid]["triples"][0] = value
+
+    return edit
+
+
+def _bad_triples_in_file_order(obj):
+    obj["relations"].reverse()  # relation 4 comes first in the file
+    _set_triple(True, 0)(obj)
+    _set_triple([0, 1], 1)(obj)
+
+
+def _overlap_of_full_size(obj):
+    """One triple of relation 4 traded for one of relation 0: n^3 triples in
+    all, but one of them in no relation."""
+    obj["relations"][4]["triples"][0] = [1, 1, 1]
+
+
+MALFORMED = {
+    "true": _set_triple(True),
+    "float": _set_triple(1.5),
+    "pair": _set_triple([0, 1]),
+    "string": _set_triple("abc"),
+    "int": _set_triple(5),
+    "object": _set_triple({"a": 0, "b": 1, "c": 2}),
+    "bool-coordinate": _set_triple([0, True, 2]),
+    "float-coordinate": _set_triple([0, 1.0, 2]),
+    "outside": _set_triple([0, 1, 4]),
+    "negative": _set_triple([0, -1, 2]),
+    "no-triples": lambda obj: obj["relations"][2].pop("triples"),
+    "null-triples": lambda obj: obj["relations"][2].update(triples=None),
+    "empty": lambda obj: obj["relations"][4].update(triples=[]),
+    "empty-then-bad": lambda obj: (obj["relations"][1].update(triples=[]), _set_triple(5)(obj)),
+    "no-relations": lambda obj: obj.update(relations=[]),
+    "overlap": lambda obj: obj["relations"][4]["triples"].append([1, 1, 1]),
+    "overlap-of-full-size": _overlap_of_full_size,
+    "missing": lambda obj: obj["relations"][4]["triples"].pop(),
+    "bad-in-file-order": _bad_triples_in_file_order,
+    "huge-n": lambda obj: obj.update(n=10**6, relations=[{"id": 0, "triples": [[0, 0, 0]]}]),
+    "duplicate": lambda obj: obj["relations"][4]["triples"].append(list(obj["relations"][4]["triples"][0])),
+}
+
+
+def _cli(argv, capsys):
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", ["verify-ast", "extract"])
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_partitions_fail_as_the_reference_reader_does(edit, command, tmp_path, capsys):
+    """Exit code and stderr of the CLI on a broken scheme are those of the
+    reference reader's error; a scheme it accepts (a triple listed twice in
+    one relation) reads as the scheme written without the repeat."""
+    obj = _one_part_4()
+    edit(obj)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    try:
+        _, relations = oracles.reference_triple_partition(obj)
+    except (ValueError, TypeError) as exc:
+        expected = (2, "", f"error: {exc}\n")
+    except KeyError as exc:
+        expected = (2, "", f"error: input has no key {exc}\n")
+    else:
+        canonical = tmp_path / "canonical.json"
+        canonical.write_text(json.dumps(TriplePartition(obj["n"], relations).to_obj()))
+        expected = _cli([command, "--in", str(canonical)], capsys)
+        assert expected[0] == 0
+    assert _cli([command, "--in", str(path)], capsys) == expected
+
+
 # Text with quotes, backslashes, control characters and non-ASCII code points.
 _TEXT = st.text(st.characters(max_codepoint=0x1F600) | st.sampled_from('"\\\x00\x1f\x7f\u2028é'), max_size=6)
 # bool is an int subclass that json writes as true/false, never as 1/0.
