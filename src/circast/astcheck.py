@@ -127,19 +127,19 @@ def verify_a1(A: TriplePartition) -> Union[dict, AxiomFailure]:
     n = A.n
     flat, orbit = A.id_table
     ref = Counter(flat[n : 2 * n])  # the row of (0, 1)
-    first = {}  # relation id -> (pair, count) of its first differing row
+    least = (len(A.sizes), None, None)  # (id, pair, count) of the least id that differs
     for x, y in product(range(n // orbit), range(n)):
         if x == y:
             continue
         start = (x * n + y) * n
         counts = Counter(flat[start : start + n])
         if not dict.__eq__(counts, ref):  # Counter's == runs in Python
-            for rid in counts.keys() | ref.keys():
-                if rid >= 4 and counts[rid] != ref[rid]:
-                    first.setdefault(rid, ((x, y), counts[rid]))
+            rid = min((rid for rid, _ in counts.items() ^ ref.items() if rid >= 4), default=least[0])
+            if rid < least[0]:  # then rid differed in no earlier row: this row is its first
+                least = (rid, (x, y), counts[rid])
     for rid in range(4, len(A.sizes)):
-        if rid in first:
-            pair, count = first[rid]
+        if rid == least[0]:
+            _, pair, count = least
             return AxiomFailure(
                 "A1",
                 {

@@ -136,19 +136,15 @@ def sym3_rank_maps(n: int) -> dict:
     return {g: [pair_rank(n, pair_image(n, p, g)) for p in pairs] for g in SYM3}
 
 
-def permute_mask(mask: int, perm: list) -> int:
-    """The mask whose bit perm[r] is set for every set bit r of mask."""
-    out = 0
-    for r in iter_bits(mask):
-        out |= 1 << perm[r]
-    return out
-
-
 def sym3_image(I: PairSet, g: Sym3Element) -> PairSet:
     """Image of an index set under the map realising g; again a subset of X."""
     if g not in SYM3:
         raise ValueError(f"{g!r} is not a Sym(3) element")
-    return PairSet(I.n, permute_mask(I.mask, sym3_rank_maps(I.n)[g]))
+    perm = sym3_rank_maps(I.n)[g]
+    out = 0
+    for r in iter_bits(I.mask):
+        out |= 1 << perm[r]
+    return PairSet(I.n, out)
 
 
 # --- expansion and extraction ------------------------------------------------

@@ -37,12 +37,12 @@ from json.encoder import encode_basestring_ascii
 from .astcheck import symmetrise, verify_ast
 from .circulant import (
     NotASTRegular,
-    NotCirculant,
     NotCirculantAST,
-    NotNontrivial,
     build_ast,
+    expand,
     extract_partition,
     is_ast_regular,
+    is_circulant,
 )
 from .core import (
     INDEX_N_CAP,
@@ -57,9 +57,9 @@ from .core import (
 )
 from .groups import GroupSpec, agl1, orbit_partition_on_triples, shift_invariance_check
 from .search import SearchConfig, search_ast_regular
-from .thin import NotRegular, NotThin, _read_witness, matching_decomposition, thin_profile
+from .thin import NotRegular, _read_witness, matching_decomposition, thin_profile
 
-_NEGATIVE_ERRORS = (NotASTRegular, NotCirculantAST, NotCirculant, NotNontrivial, NotRegular, NotThin)
+_NEGATIVE_ERRORS = (NotCirculantAST, NotRegular)
 _INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
@@ -207,12 +207,8 @@ def cmd_verify_ast(args) -> int:
 
 def _thin_entry(rid, rel) -> dict:
     profile = sorted(thin_profile(rel))
-    witnesses = {}
-    for ab in profile:
-        try:
-            witnesses[ab] = _read_witness(rel, ab).to_obj()
-        except NotThin:
-            witnesses[ab] = None
+    closed = bool(profile) and is_circulant(rel)
+    witnesses = {ab: _read_witness(rel, ab).to_obj() if closed else None for ab in profile}
     return {"id": rid, "profile": profile, "witnesses": witnesses}
 
 
@@ -243,8 +239,6 @@ def cmd_decompose(args) -> int:
     if args.format == "json":
         _emit(decomposition.to_obj())
     else:
-        from .circulant import expand
-
         print(f"{len(decomposition.parts)} perfect matchings:")
         for part in decomposition.parts:
             profile = sorted(thin_profile(expand(part)))

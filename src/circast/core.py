@@ -5,9 +5,9 @@ of residues. Index sets live inside the pair universe
 
     X(n) = {(i, j) : 1 <= i, j <= n-1, i != j}
 
-and are stored as bitmasks keyed by the lexicographic rank of (i, j) in X(n),
-so the subset/disjointness/union tests that the search leans on are single
-integer operations. Relations and the two partition types canonicalise their
+and are stored as bitmasks keyed by the lexicographic rank of (i, j) in X(n);
+the search works on raw masks, `|` serves `symmetrise` and `-` the benchmark's
+input builders. Relations and the two partition types canonicalise their
 contents: equal values compare equal and serialise to identical JSON. A triple
 partition from JSON or from circast's builders is its relation-id table.
 """
@@ -78,9 +78,7 @@ def json_typed(value, kind: type, what: str, items: Optional[type] = None):
     return value
 
 
-def make_domain(n: int) -> Domain:
-    """Validated constructor for :class:`Domain`."""
-    return Domain(n)
+make_domain = Domain
 
 
 def pair_capacity(n: int) -> int:
@@ -161,9 +159,6 @@ class PairSet:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
 
     def _same_universe(self, other: "PairSet") -> None:
         if not isinstance(other, PairSet) or other.n != self.n:

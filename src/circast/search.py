@@ -184,9 +184,7 @@ class _Universe:
         yield from rec(0, 0, (0,) * 5)
 
 
-@lru_cache(maxsize=None)
-def _universe(n: int) -> _Universe:
-    return _Universe(n)
+_universe = lru_cache(maxsize=None)(_Universe)
 
 
 class _Search:

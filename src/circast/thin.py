@@ -91,15 +91,15 @@ def thin_witness(R: TernaryRelation, ab: str) -> ThinWitness:
         raise ValueError(f"ab must be one of {AB_LABELS}, got {ab!r}")
     if not _is_thin(R, ab):
         raise NotThin(f"relation is not {ab}-thin")
+    if not is_circulant(R):
+        raise NotThin(f"relation is {ab}-thin but not shift-closed")
     return _read_witness(R, ab)
 
 
 def _read_witness(R: TernaryRelation, ab: str) -> ThinWitness:
-    """thin_witness for a relation already known to be ab-thin: rho is then
-    defined on 1..n-1, and thin_relation(n, ab, rho), the shifts of R's
-    n-1 slot-a zero triples, is R exactly when R is shift-closed."""
-    if not is_circulant(R):
-        raise NotThin(f"relation is {ab}-thin but not shift-closed")
+    """thin_witness for a relation already known to be ab-thin and
+    shift-closed: rho is then defined on 1..n-1, and thin_relation(n, ab, rho),
+    the shifts of R's n-1 slot-a zero triples, is R."""
     a, b, c = _AB_POS[ab]
     rho = {t[b]: t[c] for t in R.triples if t[a] == 0}
     derangement = all(rho[y] not in (0, y) for y in rho)

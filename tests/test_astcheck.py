@@ -11,15 +11,18 @@ from circast import (
     SYM3,
     AxiomFailure,
     EmptyIndexSet,
+    GroupSpec,
     IdentityViolation,
     IndexPartition,
     PairSet,
     TernaryRelation,
     TriplePartition,
+    agl1,
     build_ast,
     derived_parameters,
     is_ast_regular,
     make_domain,
+    orbit_partition_on_triples,
     symmetrise,
     sym3_image,
     trivial_relations,
@@ -103,6 +106,38 @@ def test_verify_a1_fails_on_shift_orbits():
     result = verify_a1(A)
     assert isinstance(result, AxiomFailure)
     assert result.axiom == "A1"
+
+
+def _moved_triple(A, row, source, target):
+    """A with the least triple of row (x, y, .) in relation `source` moved
+    to relation `target`."""
+    t = min(t for t in A.relations[source].triples if t[:2] == row)
+    rels = list(A.relations)
+    rels[source] = TernaryRelation(A.n, rels[source].triples - {t})
+    rels[target] = TernaryRelation(A.n, rels[target].triples | {t})
+    return TriplePartition(A.n, tuple(rels))
+
+
+def test_verify_a1_names_the_least_failing_relation_at_its_first_row():
+    """Relations 7 and 8 first differ in row (1, 2), relation 5 only in the
+    later row (3, 4): the witness is relation 5 at (3, 4), not the first
+    differing row's candidate."""
+    A = orbit_partition_on_triples(agl1(7))
+    assert len(A.sizes) == 9
+    A = _moved_triple(_moved_triple(A, (1, 2), 8, 7), (3, 4), 5, 6)
+    result = verify_a1(A)
+    assert result == AxiomFailure(
+        "A1", {"relation": 5, "pair_a": (0, 1), "count_a": 1, "pair_b": (3, 4), "count_b": 0}
+    )
+    assert result == oracles.reference_verify_a1(A)
+
+
+def test_verify_a1_on_the_trivial_group_matches_the_reference():
+    """Every nontrivial triple is its own relation: the shift moves the
+    table and every row differs from row (0, 1)."""
+    A = orbit_partition_on_triples(GroupSpec(8, ()))
+    assert A.id_table[1] == 1
+    assert verify_a1(A) == oracles.reference_verify_a1(A)
 
 
 # --- A3 -------------------------------------------------------------------------

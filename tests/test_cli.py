@@ -561,6 +561,18 @@ def test_thin_tests_each_label_once(coarse5_files, monkeypatch):
     assert sum(witness is not None for e in obj["relations"] for witness in e["witnesses"].values()) == 6
 
 
+def test_thin_tests_shift_closure_once_per_thin_relation(coarse5_files, monkeypatch):
+    """Shift closure is a fact about the relation: thin tests it once for a
+    relation with a thin label, and never for one with none."""
+    calls = []
+    unshifted = circulant_module._unshifted
+    monkeypatch.setattr(circulant_module, "_unshifted", lambda R: calls.append(R.triples) or unshifted(R))
+    code, obj = run_json(["thin", "--in", coarse5_files[1]])
+    relations = TriplePartition.from_obj(json.loads(Path(coarse5_files[1]).read_text())).relations
+    thin = [relations[e["id"]].triples for e in obj["relations"] if e["profile"]]
+    assert code == 0 and len(thin) == 3 and len(calls) == len(set(calls)) and set(calls) == set(thin)
+
+
 def test_symmetrise(tmp_path):
     single = write_json(tmp_path, "s.json", {"n": 5, "pairs": [[1, 2]]})
     code, obj = run_json(["symmetrise", "--in", single])

@@ -96,7 +96,7 @@ def test_thin_witness_rejects_non_circulant():
         n, [(x, y, 0) for x in range(n) for y in range(n) if x != y]
     )
     assert "12" in thin_profile(R)
-    with pytest.raises(NotThin):
+    with pytest.raises(NotThin, match="^relation is 12-thin but not shift-closed$"):
         thin_witness(R, "12")
 
 
