@@ -168,21 +168,9 @@ class PairSet:
         self._same_universe(other)
         return PairSet(self.n, self.mask | other.mask)
 
-    def __and__(self, other: "PairSet") -> "PairSet":
-        self._same_universe(other)
-        return PairSet(self.n, self.mask & other.mask)
-
     def __sub__(self, other: "PairSet") -> "PairSet":
         self._same_universe(other)
         return PairSet(self.n, self.mask & ~other.mask)
-
-    def isdisjoint(self, other: "PairSet") -> bool:
-        self._same_universe(other)
-        return not self.mask & other.mask
-
-    def issubset(self, other: "PairSet") -> bool:
-        self._same_universe(other)
-        return not self.mask & ~other.mask
 
     def to_obj(self) -> dict:
         return {"n": self.n, "pairs": [list(p) for p in self.pairs()]}

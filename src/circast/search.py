@@ -1,11 +1,12 @@
 """Exhaustive search for AST-regular partitions of the pair universe.
 
-The tree covers X(n) orbit by orbit: at each node the least uncovered pair is
-fixed, and `_Universe.regular_subsets` lists exactly the parts through it whose
-orbit under the six index maps can be placed (regular, pairwise disjoint
-images), or under `--symmetric` the parts that every map fixes. It counts pairs
-per row, column and difference and prunes row prefixes by their images, so no
-orbit test follows.
+The tree covers X(n) orbit by orbit: at each node the least uncovered pair,
+always in row 1, is fixed, and `_Universe.regular_subsets` lists exactly the
+parts through it whose orbit under the six index maps can be placed (regular,
+pairwise disjoint images), or under `--symmetric` the parts that every map
+fixes. It counts pairs per row, column and difference and prunes row prefixes
+by their images, so no orbit test follows; each pair's five images are lanes
+of one int, so the images of a prefix cost one OR per pair.
 Intersection-number constancy is checked at each node by the kernel of
 `is_ast_regular` (`circulant.pair_bins`) over the placed parts, with the
 uncovered pairs as one rest label: a placed orbit is kept only while every
@@ -108,80 +109,92 @@ class SearchResult:
 
 
 class _Universe:
-    """Per-n lookup tables: rank -> pair, the ranks of each row, and the
-    ranks of the five non-identity index-map images of each pair."""
+    """Per-n lookup tables: the ranks of each row, and by rank the listing
+    option of each pair (i, j): its column j, its difference as n + (j - i)
+    mod n, its rank and its five non-identity index-map images as one int,
+    the image under the k-th map of SYM3 without the identity in the lane at
+    bit k * |X(n)|."""
 
     def __init__(self, n: int):
         self.n = n
         cap = pair_capacity(n)
         self.full = (1 << cap) - 1
-        self.pair_of = [pair_unrank(n, r) for r in range(cap)]
+        self.shifts = range(0, 5 * cap, cap)
+        self.rep = sum(1 << s for s in self.shifts)
         self.row_ranks = [range((i - 1) * (n - 2), i * (n - 2)) for i in range(1, n)]
         maps = sym3_rank_maps(n)
-        self.images = list(zip(*(maps[g] for g in SYM3 if g != IDENTITY)))
+        images = [maps[g] for g in SYM3 if g != IDENTITY]
+        lanes = [sum(1 << (s + q) for s, q in zip(self.shifts, qs)) for qs in zip(*images)]
+        self.options = []
+        for rank in range(cap):
+            i, j = pair_unrank(n, rank)
+            self.options.append((j, n + (j - i) % n, rank, lanes[rank]))
 
-    def regular_subsets(self, r: int, allowed: int, forced_rank: int, fixed: bool,
+    def regular_subsets(self, r: int, allowed: int, fixed: bool,
                         deadline: Optional[float] = None) -> Iterator[tuple]:
         """Pairs (mask, images) for r-regular subsets P of `allowed` through
-        the forced pair, rows filled in order with lexicographic column
-        choices, with the five non-identity images of P: the P whose orbit
-        under the index maps can be placed, when the pairs outside `allowed`
-        are a union of orbits, or if `fixed` the P that every map fixes.
+        its least pair, with the five non-identity images of P: the P whose
+        orbit under the index maps can be placed, when the pairs outside
+        `allowed` are a union of orbits, or if `fixed` the P that every map
+        fixes. Rows are filled in order with lexicographic column choices.
 
-        Each row gets r pairs; a prefix is dropped once a column or a
-        difference (j - i) mod n needs more pairs than rows are left. The maps
-        send the rows, columns and differences of P to the rows and columns of
-        its images (tau(i, j) = (-i, j - i), T swaps the two), so all six
-        images are regular. A placeable prefix is dropped once an image meets
-        it and a finished row outside it, so at the end an image that meets P
-        is P and, the maps forming a group, any two images are equal or
-        disjoint. A fixed prefix is dropped once an image meets a finished row
-        outside it. Raises TimeoutError past the deadline."""
+        Row 1 holds the least ranks, so nothing is listed unless it has r
+        allowed pairs, and then its first option is the least allowed pair:
+        each row-1 choice takes it. Each row gets r pairs; a prefix is dropped
+        once a column or a difference (j - i) mod n needs more pairs than rows
+        are left. The maps send the rows, columns and differences of P to the
+        rows and columns of its images (tau(i, j) = (-i, j - i), T swaps the
+        two), so all six images are regular. A placeable prefix is dropped
+        once an image meets it and a finished row outside it, so at the end an
+        image that meets P is P and, the maps forming a group, any two images
+        are equal or disjoint. A fixed prefix is dropped once an image meets a
+        finished row outside it. The images of a prefix are the OR of its
+        pairs' lanes; one AND with the finished rows outside it, repeated in
+        every lane, finds the images that meet them. Raises TimeoutError past
+        the deadline."""
         n = self.n
-        forced_row, forced_col = self.pair_of[forced_rank]
+        full, shifts, rep = self.full, self.shifts, self.rep
         rows = []
         for ranks in self.row_ranks:
-            opts = [
-                (j, n + (j - i) % n, rank, self.images[rank])
-                for rank in ranks
-                if (allowed >> rank) & 1
-                for i, j in (self.pair_of[rank],)
-            ]
+            opts = [self.options[rank] for rank in ranks if (allowed >> rank) & 1]
             if len(opts) < r:
                 return
             rows.append(opts)
         # pairs still lacking in column c and difference d
         need = [0] + [r] * (n - 1) + [0] + [r] * (n - 1)
 
-        def rec(idx: int, mask: int, images: tuple) -> Iterator[tuple]:
+        def rec(idx: int, mask: int, lanes: int) -> Iterator[tuple]:
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError
             if idx == n - 1:
-                yield mask, images
+                yield mask, tuple(lanes >> s & full for s in shifts)
                 return
             opts = [opt for opt in rows[idx] if need[opt[0]] and need[opt[1]]]
             rows_left = n - 2 - idx
             finished = (1 << self.row_ranks[idx].stop) - 1
-            for combo in combinations(opts, r):
-                if idx + 1 == forced_row and all(c != forced_col for c, _, _, _ in combo):
-                    continue
+            if idx == 0:
+                combos = ((opts[0],) + rest for rest in combinations(opts[1:], r - 1))
+            else:
+                combos = combinations(opts, r)
+            for combo in combos:
                 new_mask = mask
-                new_images = images
-                for c, d, rank, image_ranks in combo:
+                new_lanes = lanes
+                for c, d, rank, opt_lanes in combo:
                     need[c] -= 1
                     need[d] -= 1
                     new_mask |= 1 << rank
-                    new_images = tuple(m | 1 << q for m, q in zip(new_images, image_ranks))
-                outside = finished & ~new_mask
-                if max(need) <= rows_left and not any(
-                    m & outside and (fixed or m & new_mask) for m in new_images
-                ):
-                    yield from rec(idx + 1, new_mask, new_images)
+                    new_lanes |= opt_lanes
+                if max(need) <= rows_left:
+                    hit = new_lanes & (finished & ~new_mask) * rep
+                    if not hit or not fixed and not any(
+                        hit >> s & full and new_lanes >> s & new_mask for s in shifts
+                    ):
+                        yield from rec(idx + 1, new_mask, new_lanes)
                 for c, d, _, _ in combo:
                     need[c] += 1
                     need[d] += 1
 
-        yield from rec(0, 0, (0,) * 5)
+        yield from rec(0, 0, 0)
 
 
 _universe = lru_cache(maxsize=None)(_Universe)
@@ -203,10 +216,9 @@ class _Search:
         cleared, once the listing finds the deadline passed."""
         uni = self.uni
         allowed = uni.full & ~covered
-        target = (allowed & -allowed).bit_length() - 1
         try:
             for r in range(1, self.max_r + 1):
-                for mask, images in uni.regular_subsets(r, allowed, target, self.fixed, self.deadline):
+                for mask, images in uni.regular_subsets(r, allowed, self.fixed, self.deadline):
                     yield tuple(sorted({mask, *images}))
         except TimeoutError:
             self.complete = False

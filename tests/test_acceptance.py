@@ -241,7 +241,7 @@ def test_criterion_7_matching_decomposition(small_searches, coarse_family):
             problems.append(f"{I!r}: {len(dec.parts)} parts")
         union = PairSet(I.n, 0)
         for part in dec.parts:
-            if not union.isdisjoint(part):
+            if union.mask & part.mask:
                 problems.append(f"{I!r}: overlapping matchings")
             union = union | part
             R = expand(part)

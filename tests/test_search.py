@@ -9,6 +9,7 @@ import pytest
 import circast.search as search_module
 import oracles
 from circast import (
+    IDENTITY,
     SYM3,
     IndexPartition,
     PairSet,
@@ -171,6 +172,21 @@ def test_jobs_do_not_change_the_report():
         parallel.to_obj(), sort_keys=True
     )
     assert serial.nodes == parallel.nodes
+
+
+def test_listed_images_are_the_index_map_images():
+    """Each (mask, images) that the root listing yields carries the five
+    non-identity images of its part in SYM3 order, unpacked from their lanes."""
+    yields = 0
+    for n in range(4, 10):
+        uni = search_module._Universe(n)
+        for r in range(1, n - 1):
+            for fixed in (False, True):
+                for mask, images in uni.regular_subsets(r, uni.full, fixed):
+                    P = PairSet(n, mask)
+                    assert images == tuple(sym3_image(P, g).mask for g in SYM3 if g != IDENTITY)
+                    yields += 1
+    assert yields == 42
 
 
 def test_config_validation():

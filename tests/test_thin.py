@@ -163,7 +163,7 @@ def test_matching_decomposition_postconditions():
         assert len(dec.parts) == valency
         union = PairSet(I.n, 0)
         for part in dec.parts:
-            assert union.isdisjoint(part)
+            assert not union.mask & part.mask
             union = union | part
             stats = regularity_stats(part)
             assert stats.ok and stats.n_I == 1
