@@ -15,8 +15,8 @@ Every capability is a subcommand over the JSON file formats of the library:
     circast params --in ast.json
 
 A call builds the parser of the command it names only (every command's
-parser when the first argument is not exactly a command name), and the
-process pool is imported only when `search --jobs N` starts one.
+parser when the first argument is not exactly a command name); `search
+--jobs N` forks its workers, so no process pool module is ever imported.
 
 Exit codes: 0 success, 1 verification-negative, 2 usage or input error.
 Reports go to stdout or the --out file (JSON with --format=json), written in

@@ -19,18 +19,21 @@ The time budget is polled at every step of the candidate listing, the root
 listing included; once it has passed the search unwinds and reports what it
 found with the completeness flag cleared.
 
-Each root branch runs as one task, in this process or, when requested, in
-worker processes; results are merged and sorted canonically, so the report is
-identical for any worker count.
+Under `--jobs N` each of k workers, this process and k - 1 forked children,
+lists the whole root itself and explores its own share of it, every k-th
+placeable row-1+row-2 prefix; results are merged and sorted canonically, so the
+report is identical for any k.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, cycle, repeat
 from typing import Iterator, Optional
 
 from .astcheck import verify_ast
@@ -46,7 +49,7 @@ from .circulant import (
 from .core import IndexPartition, PairSet, pair_capacity, pair_unrank
 
 
-# each worker is a whole interpreter process, so a count above this is a typo
+# each worker is a forked process that lists the whole root, so more is a typo
 MAX_JOBS = 64
 
 
@@ -131,7 +134,7 @@ class _Universe:
             self.options.append((j, n + (j - i) % n, rank, lanes[rank]))
 
     def regular_subsets(self, r: int, allowed: int, fixed: bool,
-                        deadline: Optional[float] = None) -> Iterator[tuple]:
+                        deadline: Optional[float] = None, turns: Iterator = repeat(True)) -> Iterator[tuple]:
         """Pairs (mask, images) for r-regular subsets P of `allowed` through
         its least pair, with the five non-identity images of P: the P whose
         orbit under the index maps can be placed, when the pairs outside
@@ -150,8 +153,9 @@ class _Universe:
         are equal or disjoint. A fixed prefix is dropped once an image meets a
         finished row outside it. The images of a prefix are the OR of its
         pairs' lanes; one AND with the finished rows outside it, repeated in
-        every lane, finds the images that meet them. Raises TimeoutError past
-        the deadline."""
+        every lane, finds the images that meet them. Each row-1+row-2 prefix
+        kept takes the next of `turns`, and is extended only if that is true.
+        Raises TimeoutError past the deadline."""
         n = self.n
         full, shifts, rep = self.full, self.shifts, self.rep
         rows = []
@@ -186,9 +190,9 @@ class _Universe:
                     new_lanes |= opt_lanes
                 if max(need) <= rows_left:
                     hit = new_lanes & (finished & ~new_mask) * rep
-                    if not hit or not fixed and not any(
+                    if (not hit or not fixed and not any(
                         hit >> s & full and new_lanes >> s & new_mask for s in shifts
-                    ):
+                    )) and (idx != 1 or next(turns)):
                         yield from rec(idx + 1, new_mask, new_lanes)
                 for c, d, _, _ in combo:
                     need[c] += 1
@@ -210,15 +214,19 @@ class _Search:
         self.nodes = 0
         self.complete = True
 
-    def branches(self, covered: int) -> Iterator[tuple]:
+    def branches(self, covered: int, share: tuple = (0, 1)) -> Iterator[tuple]:
         """The placeable part orbits through the least uncovered pair, one part
-        each when `symmetric_only`, as ascending masks; stops, with `complete`
-        cleared, once the listing finds the deadline passed."""
+        each when `symmetric_only`, as ascending masks; with `share` (w, k)
+        only those under the w-th, counting from 0 modulo k, of the row-1+row-2
+        prefixes kept over all valencies. Stops, with `complete` cleared, once
+        the listing finds the deadline passed."""
         uni = self.uni
         allowed = uni.full & ~covered
+        w, k = share
+        turns = cycle([i == w for i in range(k)])
         try:
             for r in range(1, self.max_r + 1):
-                for mask, images in uni.regular_subsets(r, allowed, self.fixed, self.deadline):
+                for mask, images in uni.regular_subsets(r, allowed, self.fixed, self.deadline, turns):
                     yield tuple(sorted({mask, *images}))
         except TimeoutError:
             self.complete = False
@@ -240,11 +248,49 @@ class _Search:
             self.place(parts, covered, orbit)
 
 
-def _branch_worker(task):
-    n, max_r, symmetric_only, deadline, orbit = task
+def _branch_worker(n, max_r, symmetric_only, deadline, share):
     engine = _Search(n, max_r, symmetric_only, deadline)
-    engine.place((), 0, orbit)
+    for orbit in engine.branches(0, share):
+        engine.place((), 0, orbit)
     return engine.found, engine.nodes, engine.complete
+
+
+def _run_workers(k: int, *task) -> list:
+    """`_branch_worker(*task, (w, k))` for w = 0..k-1: share 0 in this process,
+    each other share in a forked child that sends it back through a pipe.
+    Every child is reaped before this returns or raises."""
+    pids, pipes = [], []
+    try:
+        for w in range(1, k):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as out:
+                pid = os.fork()
+                if pid == 0:  # os._exit runs no atexit hook and flushes no inherited buffer
+                    try:
+                        out.write(marshal.dumps(_branch_worker(*task, (w, k))))
+                        out.close()
+                        os._exit(0)
+                    except BaseException:
+                        import traceback
+                        os.write(2, traceback.format_exc().encode())
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        results = [_branch_worker(*task, (0, k))]
+        data = [pipe.read() for pipe in pipes]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for w, code in enumerate(codes, 1):
+        if code:
+            raise RuntimeError(f"search worker {w} exited with status {code}")
+    return results + [marshal.loads(chunk) for chunk in data]
 
 
 def _partition_key(P: IndexPartition, c: int = 1) -> tuple:
@@ -266,18 +312,12 @@ def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
     max_r = min(n - 2, config.max_nI or n, 1 if config.require_all_thin else n)
     deadline = start + config.time_budget if config.time_budget is not None else None
 
-    root = _Search(n, max_r, config.require_symmetric, deadline)
-    tasks = [(n, max_r, config.require_symmetric, deadline, orbit) for orbit in root.branches(0)]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            branches = list(pool.map(_branch_worker, tasks))
-    else:
-        branches = map(_branch_worker, tasks)
+    workers = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     found: list = []
     nodes = 0
-    complete = root.complete
-    for branch_found, branch_nodes, branch_complete in branches:
+    complete = True
+    shares = _run_workers(workers, n, max_r, config.require_symmetric, deadline)
+    for branch_found, branch_nodes, branch_complete in shares:
         found.extend(branch_found)
         nodes += branch_nodes
         complete &= branch_complete

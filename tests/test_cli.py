@@ -1,4 +1,3 @@
-import concurrent.futures
 import io
 import json
 import os
@@ -408,10 +407,11 @@ def test_trivial_group_orbits_at_the_cap_peak_below_200_mb(tmp_path):
 
 
 def test_jobs_above_the_bound_are_refused(monkeypatch, capsys):
-    """--jobs above MAX_JOBS exits 2; the pool is replaced so that a broken
-    bound starts no process either."""
+    """--jobs above MAX_JOBS exits 2; fork is replaced so that a broken bound
+    starts no process either."""
     started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: started.append(kw))
+    monkeypatch.setattr(search_module.os, "fork", lambda: started.append(1))
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: search_module.MAX_JOBS + 1)
     code, out = run(["search", "--n", "5", "--jobs", str(search_module.MAX_JOBS + 1)])
     assert code == 2 and out == "" and started == []
     assert f"between 1 and {search_module.MAX_JOBS}" in capsys.readouterr().err
@@ -722,10 +722,15 @@ def test_dispatch_matches_the_full_parser(tmp_path, coarse5_files, monkeypatch, 
 
 
 def test_import_loads_no_process_pool():
-    """A fresh interpreter that imports the CLI loads neither
-    concurrent.futures nor multiprocessing."""
-    code = "import json, sys, circast.cli; print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
+    """A fresh interpreter that imports the CLI, or runs a search with two
+    workers, loads neither concurrent.futures nor multiprocessing."""
+    code = (
+        "import json, os, sys, circast.cli; os.cpu_count = lambda: 2; "
+        "sys.argv[1:] and circast.cli.main(sys.argv[1:]); "
+        "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})), file=sys.stderr)"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(circast.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = json.loads(out.stdout)
-    assert "circast" in loaded and "concurrent" not in loaded and "multiprocessing" not in loaded
+    for argv in [], ["search", "--n", "7", "--jobs", "2", "--format", "json"]:
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+        loaded = json.loads(out.stderr)
+        assert "circast" in loaded and "concurrent" not in loaded and "multiprocessing" not in loaded

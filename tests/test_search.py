@@ -1,8 +1,11 @@
-import concurrent.futures
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -130,14 +133,16 @@ def test_time_budget_reports_incomplete():
     assert not result.complete
 
 
-def test_time_budget_is_a_bound():
+def test_time_budget_is_a_bound(monkeypatch):
     """At n = 11, 12 and 16 the search runs far longer than the budget; the
-    candidate listing polls the deadline."""
-    for n in (11, 12, 16):
-        start = time.monotonic()
-        result = search_ast_regular(SearchConfig(n, time_budget=1.0))
-        assert time.monotonic() - start < 2.0
-        assert not result.complete
+    candidate listing polls the deadline, in every forked worker too."""
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
+    for jobs in (1, 2):
+        for n in (11, 12, 16):
+            start = time.monotonic()
+            result = search_ast_regular(SearchConfig(n, time_budget=1.0), jobs=jobs)
+            assert time.monotonic() - start < 2.0
+            assert not result.complete
 
 
 def _universe_pairs(n):
@@ -165,13 +170,45 @@ def test_complete_search_is_frozen(n, nodes, parts):
     assert json.dumps(serial.to_obj()) == json.dumps(result.to_obj())
 
 
-def test_jobs_do_not_change_the_report():
-    serial = search_ast_regular(SearchConfig(5), jobs=1)
-    parallel = search_ast_regular(SearchConfig(5), jobs=4)
-    assert json.dumps(serial.to_obj(), sort_keys=True) == json.dumps(
-        parallel.to_obj(), sort_keys=True
-    )
-    assert serial.nodes == parallel.nodes
+def test_jobs_do_not_change_the_report(monkeypatch):
+    """The report is byte-identical for every worker count; with eight CPUs
+    reported, --jobs 3 and 5 fork that many workers less one."""
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 8)
+    configs = [SearchConfig(n) for n in range(5, 10)] + [
+        SearchConfig(10, require_symmetric=True),
+        SearchConfig(11, require_all_thin=True),
+    ]
+    for config in configs:
+        serial = search_ast_regular(config, jobs=1)
+        for jobs in (2, 3, 5, search_module.MAX_JOBS):
+            parallel = search_ast_regular(config, jobs=jobs)
+            assert json.dumps(parallel.to_obj()) == json.dumps(serial.to_obj()), (config, jobs)
+            assert parallel.nodes == serial.nodes
+
+
+@pytest.mark.parametrize(
+    "n, fixed, ks",
+    [
+        pytest.param(n, fixed, ks, id=f"n{n}-{'fixed' if fixed else 'placeable'}")
+        for n in range(4, 11)
+        for fixed in (False, True)
+        # the unfiltered n = 10 root takes about 3 s to list, so one split only
+        for ks in [(2,) if (n, fixed) == (10, False) else range(1, 5)]
+    ],
+)
+def test_shares_split_the_root_listing(n, fixed, ks):
+    """The k shares of the root list exactly its orbits, none twice, and two
+    shares of a root with at least four orbits are both nonempty."""
+    def listing(share=(0, 1)):
+        return list(search_module._Search(n, n - 2, fixed, None).branches(0, share))
+
+    root = listing()
+    assert len(set(root)) == len(root)
+    for k in ks:
+        shares = [listing((w, k)) for w in range(k)]
+        assert sorted(orbit for share in shares for orbit in share) == sorted(root)
+        if k == 2 and len(root) >= 4:
+            assert all(shares)
 
 
 def test_listed_images_are_the_index_map_images():
@@ -209,34 +246,61 @@ def test_config_validation():
             search_ast_regular(SearchConfig(5), jobs=jobs)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no
-    process and maps in this one."""
-
-    started: list = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
-def test_pool_has_at_most_one_worker_per_task(monkeypatch):
-    monkeypatch.setattr(_RecordingPool, "started", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    tasks = len(list(search_module._Search(7, 5, False, None).branches(0)))
-    assert 1 < tasks < search_module.MAX_JOBS
-    result = search_ast_regular(SearchConfig(7), jobs=search_module.MAX_JOBS)
-    assert _RecordingPool.started == [tasks]
+def test_workers_are_at_most_one_per_cpu(monkeypatch):
+    """--jobs N runs min(N, CPUs) workers: share 0 in this process, each other
+    in a forked child."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(search_module.os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 3)
     serial = search_ast_regular(SearchConfig(7), jobs=1)
+    assert forks == []
+    for jobs, workers in ((2, 2), (3, 3), (search_module.MAX_JOBS, 3)):
+        forks.clear()
+        result = search_ast_regular(SearchConfig(7), jobs=jobs)
+        assert len(forks) == workers - 1
+        assert json.dumps(result.to_obj()) == json.dumps(serial.to_obj())
+
+
+def test_without_fork_jobs_run_in_this_process(monkeypatch):
+    serial = search_ast_regular(SearchConfig(7), jobs=1)
+    monkeypatch.delattr(search_module.os, "fork")
+    result = search_ast_regular(SearchConfig(7), jobs=4)
     assert json.dumps(result.to_obj()) == json.dumps(serial.to_obj())
+
+
+def test_a_failing_worker_is_named_and_every_child_reaped(monkeypatch, capfd):
+    """The patched worker raises in the forked child; the search raises
+    RuntimeError with the worker and its exit status, the child's traceback
+    is on stderr, and no child is left to reap."""
+    worker = search_module._branch_worker
+
+    def failing(*task):
+        if task[-1] == (1, 2):
+            raise ValueError("share 1 fails")
+        return worker(*task)
+
+    monkeypatch.setattr(search_module, "_branch_worker", failing)
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="search worker 1 exited with status 1"):
+        search_ast_regular(SearchConfig(7), jobs=2)
+    assert "ValueError: share 1 fails" in capfd.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_run_no_atexit_hook_and_flush_no_inherited_buffer():
+    """Output pending in this process's stdout buffer and its atexit hooks
+    appear once, though forked workers inherit both."""
+    code = (
+        "import atexit, os, sys; os.cpu_count = lambda: 2; "
+        "from circast.search import SearchConfig, search_ast_regular; "
+        "atexit.register(print, 'atexit'); sys.stdout.write('pending '); "
+        "print(search_ast_regular(SearchConfig(7), jobs=2).nodes)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(search_module.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "pending 10\natexit\n"
 
 
 def test_each_hit_is_checked_once_at_index_level(monkeypatch):
