@@ -305,18 +305,22 @@ class ASTRegularityReport:
         }
 
 
-def pair_bins(n: int, masks) -> list:
+def pair_bins(n: int, masks, stop: bool = False) -> list:
     """For each part d, given as a mask over the pair ranks of X(n): the bin
     counts of its least pair and the set of bins (a,b,c) whose count varies
-    over the part.
+    over the part. With `stop` the list ends at the first part found with a
+    varying bin, whose set then holds only the bins found so far: enough to
+    tell whether any bin varies.
 
     Pair (y,z) is binned by (part(y-w, z-w), part(w,z), part(y,w)) over w in
     Omega, so bin (a,b,c) of a pair in part d counts the w outside {0,y,z}
     that meet p^d_{abc}. The label -1 marks a pair in no mask: a pair outside
     X(n), or one no part holds yet (the rest, when the masks do not cover
-    X(n)). Bins naming -1 are never reported as varying. Among them are the
-    bins (d,-1,-1), (-1,d,-1) and (-1,-1,d) of the three w in {0,y,z}, so each
-    of the three columns over w can be a slice of a precomputed table.
+    X(n)). Bins naming -1 are never reported as varying, so two pairs of a
+    part whose counts differ only in such bins do not stop the list. Among
+    them are the bins (d,-1,-1), (-1,d,-1) and (-1,-1,d) of the three w in
+    {0,y,z}, so each of the three columns over w can be a slice of a
+    precomputed table.
     """
     part = [[-1] * n for _ in range(n)]
     for idx, mask in enumerate(masks):
@@ -343,11 +347,10 @@ def pair_bins(n: int, masks) -> list:
         for r in ranks:
             other = bins(r)
             if not dict.__eq__(other, ref):  # Counter's == runs in Python
-                varying.update(
-                    key
-                    for key in ref.keys() | other.keys()
-                    if ref[key] != other[key] and -1 not in key
-                )
+                # a Counter holds no zero count, so the differing items name the differing bins
+                varying.update(key for key, _ in ref.items() ^ other.items() if -1 not in key)
+                if stop and varying:
+                    return out + [(ref, varying)]
         out.append((ref, varying))
     return out
 

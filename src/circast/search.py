@@ -5,15 +5,15 @@ always in row 1, is fixed, and `_Universe.regular_subsets` lists exactly the
 parts through it whose orbit under the six index maps can be placed (regular,
 pairwise disjoint images), or under `--symmetric` the parts that every map
 fixes. It counts pairs per row, column and difference and prunes row prefixes
-by their images, so no orbit test follows; each pair's five images are lanes
-of one int, so the images of a prefix cost one OR per pair.
-Intersection-number constancy is checked at each node by the kernel of
-`is_ast_regular` (`circulant.pair_bins`) over the placed parts, with the
-uncovered pairs as one rest label: a placed orbit is kept only while every
-quadruple of placed parts has a constant count. Every leaf is re-verified from
-scratch through the public regularity test and the axiom checker before it is
-reported, so the output is sound by certification rather than by trust in the
-pruning.
+by their images, so no orbit test follows; a pair is one int of guarded image
+lanes and count fields, so a row combination is one sum and a few int tests.
+Each node is checked by the kernel of `is_ast_regular` (`circulant.pair_bins`)
+over the placed parts, the uncovered pairs one rest label: a placed orbit is
+kept only while every quadruple of placed parts has a constant count, and the
+check stops at the first bin that varies and names no rest. Every leaf is
+re-verified from scratch through the public regularity test and the axiom
+checker before it is reported, so the output is sound by certification rather
+than by trust in the pruning.
 
 The time budget is polled at every step of the candidate listing, the root
 listing included; once it has passed the search unwinds and reports what it
@@ -113,17 +113,29 @@ class SearchResult:
 
 class _Universe:
     """Per-n lookup tables: the ranks of each row, and by rank the listing
-    option of each pair (i, j): its column j, its difference as n + (j - i)
-    mod n, its rank and its five non-identity index-map images as one int,
-    the image under the k-th map of SYM3 without the identity in the lane at
-    bit k * |X(n)|."""
+    option of each pair (i, j), one int holding from bit 0 up its images
+    under the five non-identity maps of SYM3, the k-th in the lane at bit
+    k * (|X(n)| + 1); a 1 in the count fields of its column j and difference
+    (j - i) mod n, 2n - 2 fields of n.bit_length() + 1 bits; and its rank's
+    bit from `mask_at`. Every lane and field is topped by a guard bit, zero
+    in the option, and the guards of its two fields come with it. A prefix
+    is the sum of its options: the images of distinct pairs under one map
+    are distinct and a row meets each column and difference once, so nothing
+    carries while no field holds more than n - 2."""
 
     def __init__(self, n: int):
         self.n = n
         cap = pair_capacity(n)
         self.full = (1 << cap) - 1
-        self.shifts = range(0, 5 * cap, cap)
+        self.shifts = range(0, 5 * (cap + 1), cap + 1)
         self.rep = sum(1 << s for s in self.shifts)
+        self.low = self.full * self.rep
+        self.guard = self.rep << cap
+        width = n.bit_length() + 1
+        counts_at = 5 * (cap + 1)
+        self.half = 1 << width - 1
+        self.ones = sum(1 << counts_at + f * width for f in range(2 * n - 2))
+        self.mask_at = counts_at + (2 * n - 2) * width
         self.row_ranks = [range((i - 1) * (n - 2), i * (n - 2)) for i in range(1, n)]
         maps = sym3_rank_maps(n)
         images = [maps[g] for g in SYM3 if g != IDENTITY]
@@ -131,7 +143,8 @@ class _Universe:
         self.options = []
         for rank in range(cap):
             i, j = pair_unrank(n, rank)
-            self.options.append((j, n + (j - i) % n, rank, lanes[rank]))
+            fields = 1 << counts_at + (j - 1) * width | 1 << counts_at + (n - 2 + (j - i) % n) * width
+            self.options.append((lanes[rank] + fields + (1 << self.mask_at + rank), fields * self.half))
 
     def regular_subsets(self, r: int, allowed: int, fixed: bool,
                         deadline: Optional[float] = None, turns: Iterator = repeat(True)) -> Iterator[tuple]:
@@ -151,54 +164,50 @@ class _Universe:
         once an image meets it and a finished row outside it, so at the end an
         image that meets P is P and, the maps forming a group, any two images
         are equal or disjoint. A fixed prefix is dropped once an image meets a
-        finished row outside it. The images of a prefix are the OR of its
-        pairs' lanes; one AND with the finished rows outside it, repeated in
-        every lane, finds the images that meet them. Each row-1+row-2 prefix
-        kept takes the next of `turns`, and is extended only if that is true.
-        Raises TimeoutError past the deadline."""
+        finished row outside it. Each row-1+row-2 prefix kept takes the next
+        of `turns`, and is extended only if that is true. Raises TimeoutError
+        past the deadline.
+
+        Adding h - t to every count field, h > n its guard bit, sets the
+        guards of the fields that hold t pairs or more: with t = r an option
+        whose column or difference is full is dropped, and with t = r - rows
+        left a prefix is kept only if every guard is set. Adding the lane mask
+        `low` sets the guards of the nonempty lanes, so one AND finds a lane
+        where an image meets both the prefix and a finished row outside it."""
         n = self.n
-        full, shifts, rep = self.full, self.shifts, self.rep
+        full, shifts, rep, low, guard = self.full, self.shifts, self.rep, self.low, self.guard
+        ones, half, mask_at = self.ones, self.half, self.mask_at
+        field_guards = ones * half
         rows = []
-        for ranks in self.row_ranks:
+        for idx, ranks in enumerate(self.row_ranks):
             opts = [self.options[rank] for rank in ranks if (allowed >> rank) & 1]
             if len(opts) < r:
                 return
-            rows.append(opts)
-        # pairs still lacking in column c and difference d
-        need = [0] + [r] * (n - 1) + [0] + [r] * (n - 1)
+            rows.append((opts, ones * (half - r + n - 2 - idx), ((1 << ranks.stop) - 1) * rep))
 
-        def rec(idx: int, mask: int, lanes: int) -> Iterator[tuple]:
+        def rec(idx: int, total: int) -> Iterator[tuple]:
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError
             if idx == n - 1:
-                yield mask, tuple(lanes >> s & full for s in shifts)
+                yield total >> mask_at, tuple(total >> s & full for s in shifts)
                 return
-            opts = [opt for opt in rows[idx] if need[opt[0]] and need[opt[1]]]
-            rows_left = n - 2 - idx
-            finished = (1 << self.row_ranks[idx].stop) - 1
+            row, bias, finished = rows[idx]
+            cut = total + ones * (half - r)
+            opts = [opt for opt, guards in row if not cut & guards]
+            k = r
             if idx == 0:
-                combos = ((opts[0],) + rest for rest in combinations(opts[1:], r - 1))
-            else:
-                combos = combinations(opts, r)
-            for combo in combos:
-                new_mask = mask
-                new_lanes = lanes
-                for c, d, rank, opt_lanes in combo:
-                    need[c] -= 1
-                    need[d] -= 1
-                    new_mask |= 1 << rank
-                    new_lanes |= opt_lanes
-                if max(need) <= rows_left:
-                    hit = new_lanes & (finished & ~new_mask) * rep
-                    if (not hit or not fixed and not any(
-                        hit >> s & full and new_lanes >> s & new_mask for s in shifts
-                    )) and (idx != 1 or next(turns)):
-                        yield from rec(idx + 1, new_mask, new_lanes)
-                for c, d, _, _ in combo:
-                    need[c] += 1
-                    need[d] += 1
+                total += opts.pop(0)
+                k -= 1
+            for combo in combinations(opts, k):
+                new = sum(combo, total)
+                inside = new & (new >> mask_at) * rep
+                hit = new & finished ^ inside
+                if (not hit or not fixed and not (hit + low) & (inside + low) & guard) and (
+                    (new + bias) & field_guards == field_guards and (idx != 1 or next(turns))
+                ):
+                    yield from rec(idx + 1, new)
 
-        yield from rec(0, 0, 0)
+        yield from rec(0, 0)
 
 
 _universe = lru_cache(maxsize=None)(_Universe)
@@ -235,7 +244,7 @@ class _Search:
         """Add one orbit of parts if every quadruple of placed parts has a
         constant intersection count, then keep exploring."""
         new_parts = parts + orbit
-        if any(varying for _, varying in pair_bins(self.uni.n, new_parts)):
+        if any(varying for _, varying in pair_bins(self.uni.n, new_parts, stop=True)):
             return
         self.nodes += 1
         self.explore(new_parts, covered | sum(orbit))  # the parts are disjoint
@@ -331,9 +340,10 @@ def search_ast_regular(config: SearchConfig, jobs: int = 1) -> SearchResult:
         if not verify_ast(expand_partition(partition)).ok:
             raise RuntimeError("search emitted a partition whose scheme fails the axiom check")
         hits.append(SearchHit(partition, report))
-    hits.sort(key=lambda hit: _partition_key(hit.partition))
-    if len({_partition_key(h.partition) for h in hits}) != len(hits):
+    keys = [_partition_key(hit.partition) for hit in hits]
+    if len(set(keys)) != len(hits):
         raise RuntimeError("search emitted a duplicate partition")
+    hits = [hit for _, hit in sorted(zip(keys, hits))]  # the keys are distinct, so no hit is compared
     if config.dedupe == "multiplier":
         hits = dedupe_multiplier(hits, n)
     if config.limit is not None:
@@ -346,7 +356,8 @@ def dedupe_multiplier(hits: list, n: int) -> list:
     """Keep the lexicographically least member of each class of partitions
     equivalent under some unit multiplier x -> cx, in the order of those."""
     units = [c for c in range(1, n) if math.gcd(c, n) == 1]
+    keyed = [([_partition_key(hit.partition, c) for c in units], hit) for hit in hits]
     kept: dict = {}
-    for hit in sorted(hits, key=lambda hit: _partition_key(hit.partition)):
-        kept.setdefault(min(_partition_key(hit.partition, c) for c in units), hit)
+    for keys, hit in sorted(keyed, key=lambda item: item[0][0]):  # units[0] = 1: the hit's own key
+        kept.setdefault(min(keys), hit)
     return list(kept.values())

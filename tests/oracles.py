@@ -6,6 +6,7 @@ the bitmask representation and the code paths under test.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 
 from sympy.utilities.iterables import multiset_partitions
@@ -47,6 +48,18 @@ def brute_structure_constant(n, I, J, K, L):
         elif c != first:
             return ("varies", first_pair, first, (y, z), c)
     return ("const", first)
+
+
+def brute_bin_counts(n, parts, pair):
+    """The bin counts of `pair` over the labelled pair sets `parts`: over
+    every w in 0..n-1, the labels of (y-w, z-w), (w, z) and (y, w), with -1
+    for a pair in no part."""
+    label = {p: idx for idx, part in enumerate(parts) for p in part}
+    y, z = pair
+    return Counter(
+        (label.get(((y - w) % n, (z - w) % n), -1), label.get((w, z), -1), label.get((y, w), -1))
+        for w in range(n)
+    )
 
 
 def brute_ast_regular(n, parts):

@@ -21,7 +21,8 @@ import collections
 import json
 import math
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+from unittest import mock
 
 import oracles
 import pytest
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from sympy.utilities.iterables import multiset_partitions
 
 from circast import (
+    IDENTITY,
     SYM3,
     IndexPartition,
     NonConstant,
@@ -55,8 +57,10 @@ from circast import (
 )
 from circast import cli
 from circast.cli import _write
-from circast.circulant import pair_bins
-from circast.search import _Search
+from circast.circulant import pair_bins, sym3_rank_maps
+from circast.core import pair_capacity, pair_unrank
+import circast.search as search_module
+from circast.search import _Search, _Universe
 
 PROPERTY = settings(
     max_examples=150,
@@ -224,10 +228,19 @@ def test_node_check_matches_brute_force_on_placed_parts(P, data):
     """Some parts of a partition are placed, in any order, and the other
     pairs are the rest: a bin varies over a placed part exactly when its
     quadruple of placed parts has no constant count, and the least pair's
-    count is the brute-force one."""
+    count is the brute-force one. With `stop` the list is cut after the
+    first part with a varying bin, so its verdict is the full one."""
     order = data.draw(st.permutations(range(len(P.parts))))
     placed = [P.parts[idx] for idx in order[: data.draw(st.integers(0, 5))]]
     bins = pair_bins(P.n, [part.mask for part in placed])
+    stopped = pair_bins(P.n, [part.mask for part in placed], stop=True)
+    cut = next((d + 1 for d, (_, varying) in enumerate(bins) if varying), len(bins))
+    assert len(stopped) == cut
+    assert stopped[: cut - 1] == bins[: cut - 1]
+    if stopped:
+        assert stopped[-1][0] == bins[cut - 1][0]
+        assert bool(stopped[-1][1]) == bool(bins[cut - 1][1])
+        assert stopped[-1][1] <= bins[cut - 1][1]
     k = len(placed)
     assert len(bins) == k
     for d, (ref, varying) in enumerate(bins):
@@ -240,6 +253,33 @@ def test_node_check_matches_brute_force_on_placed_parts(P, data):
             else:
                 assert ref[(a, b, c)] == res[1]
         assert varying == expected
+
+
+# the part that the root of X(7) lists alone, as an orbit of one part
+SEVEN = [
+    (1, 2), (1, 4), (1, 6), (2, 1), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6),
+    (4, 1), (4, 2), (4, 3), (5, 2), (5, 3), (5, 6), (6, 1), (6, 3), (6, 5),
+]
+
+
+def test_node_check_passes_differences_in_rest_bins_only():
+    """Placed alone, with the other 12 pairs of X(7) as the rest, the pairs of
+    SEVEN have differing bin counts, but only in bins that name the rest:
+    no bin varies, with or without `stop`. A part of one pair placed after it
+    makes bins of SEVEN vary, and the stopping check ends at SEVEN."""
+    n = 7
+    counts = [oracles.brute_bin_counts(n, [SEVEN], pair) for pair in SEVEN]
+    assert any(other != counts[0] for other in counts)
+    seven = PairSet.from_pairs(n, SEVEN).mask
+    (ref, varying), = pair_bins(n, [seven])
+    assert ref == counts[0]
+    assert not varying
+    assert pair_bins(n, [seven], stop=True) == [(ref, set())]
+    single = PairSet.from_pairs(n, [(1, 3)]).mask
+    full = pair_bins(n, [seven, single])
+    assert full[0][1] == {(0, 0, 1), (0, 1, 0), (1, 0, 0)} and not full[1][1]
+    stopped = pair_bins(n, [seven, single], stop=True)
+    assert len(stopped) == 1 and stopped[0][1] <= full[0][1] and stopped[0][1]
 
 
 # --- the Sym(3) rank table ---------------------------------------------------------
@@ -331,6 +371,131 @@ def test_pruned_listing_matches_reference_orbits(cover):
     fixed = _Search(n, n - 2, True, None)
     assert list(fixed.branches(mask)) == [orbit for orbit in reference if len(orbit) == 1]
     assert fixed.complete
+
+
+@PROPERTY
+@given(st.integers(4, 12), st.data())
+def test_packed_prefix_tests_match_plain_counts(n, data):
+    """A random prefix of r pairs per row, as the sum of its listing options:
+    the count guards agree with a plain `need` list per column and
+    difference on which options of the next row are open and, for every
+    rows-left count 0..n-2 (so also at max(need) exactly, and at 0), on
+    whether max(need) <= rows left. The guarded lanes agree with the images
+    of the prefix on whether one meets a finished row outside it (what drops
+    a fixed prefix) and whether one also meets the prefix (a placeable one)."""
+    uni = _Universe(n)
+    r = data.draw(st.integers(1, n - 2))
+    field_guards = uni.ones * uni.half
+    need = {("col", j): r for j in range(1, n)} | {("dif", d): r for d in range(1, n)}
+    total, pairs = 0, []
+    for ranks in uni.row_ranks[: data.draw(st.integers(1, n - 1))]:
+        cut = total + uni.ones * (uni.half - r)
+        options = []
+        for rank in ranks:
+            i, j = pair_unrank(n, rank)
+            option, guards = uni.options[rank]
+            is_open = need["col", j] > 0 and need["dif", (j - i) % n] > 0
+            assert (not cut & guards) == is_open
+            if is_open:
+                options.append(((i, j), option))
+        if len(options) < r:
+            return
+        for (i, j), option in data.draw(st.permutations(options))[:r]:
+            total += option
+            pairs.append((i, j))
+            need["col", j] -= 1
+            need["dif", (j - i) % n] -= 1
+        for rows_left in range(n - 1):
+            packed = (total + uni.ones * (uni.half - r + rows_left)) & field_guards == field_guards
+            assert packed == (max(need.values()) <= rows_left)
+        mask = total >> uni.mask_at
+        assert mask == PairSet.from_pairs(n, pairs).mask
+        images = [sym3_image(PairSet(n, mask), g).mask for g in SYM3 if g != IDENTITY]
+        assert [total >> s & uni.full for s in uni.shifts] == images
+        outside = ((1 << ranks.stop) - 1) & ~mask
+        inside = total & mask * uni.rep
+        hit = total & ((1 << ranks.stop) - 1) * uni.rep ^ inside
+        assert bool(hit) == any(image & outside for image in images)
+        assert bool((hit + uni.low) & (inside + uni.low) & uni.guard) == any(
+            image & outside and image & mask for image in images
+        )
+
+
+class _CountingClock:
+    """A clock that stands at 0 and counts how often it is read: the listing
+    reads it once per prefix it extends, to poll its deadline."""
+
+    count = 0
+
+    def monotonic(self):
+        self.count += 1
+        return 0.0
+
+
+def _plain_listing(n, r, allowed, fixed):
+    """The part listing with a plain `need` list per column and difference,
+    prefixes summed pair by pair and their images tested map by map: the
+    reference for the packed count fields and guarded lanes. Returns the
+    yields and the number of prefixes extended, the empty one included."""
+    images = [sym3_rank_maps(n)[g] for g in SYM3 if g != IDENTITY]
+    rows = [[q for q in range(i * (n - 2), (i + 1) * (n - 2)) if allowed >> q & 1] for i in range(n - 1)]
+    if any(len(row) < r for row in rows):
+        return [], 0
+    need = [0] + [r] * (n - 1) + [0] + [r] * (n - 1)
+    fields = [(j, n + (j - i) % n) for i, j in (pair_unrank(n, q) for q in range(pair_capacity(n)))]
+    out, extended = [], [0]
+
+    def rec(idx, prefix):
+        extended[0] += 1
+        mask = sum(1 << q for q in prefix)
+        lanes = [sum(1 << image[q] for q in prefix) for image in images]
+        if idx == n - 1:
+            out.append((mask, tuple(lanes)))
+            return
+        opts = [q for q in rows[idx] if need[fields[q][0]] and need[fields[q][1]]]
+        if idx == 0:  # row 1 takes its least allowed pair
+            combos = [opts[:1] + list(rest) for rest in combinations(opts[1:], r - 1)]
+        else:
+            combos = combinations(opts, r)
+        for combo in combos:
+            for q in combo:
+                for f in fields[q]:
+                    need[f] -= 1
+            new = prefix + tuple(combo)
+            new_mask = mask | sum(1 << q for q in combo)
+            new_lanes = [lane | sum(1 << image[q] for q in combo) for lane, image in zip(lanes, images)]
+            outside = ((1 << (idx + 1) * (n - 2)) - 1) & ~new_mask
+            if max(need) <= n - 2 - idx and not any(
+                lane & outside and (fixed or lane & new_mask) for lane in new_lanes
+            ):
+                rec(idx + 1, new)
+            for q in combo:
+                for f in fields[q]:
+                    need[f] += 1
+
+    rec(0, ())
+    return out, extended[0]
+
+
+@PROPERTY
+@given(st.integers(4, 8), st.booleans(), st.lists(st.integers(0, 10**4), max_size=8))
+# the whole of X(9), the least n at which the count test drops a prefix of
+# the whole of X(n) that the filter of full columns and differences keeps
+@example(9, False, [])
+@example(9, True, [])
+def test_listing_matches_the_plain_listing(n, fixed, removed):
+    """On X(n) less a few random pairs, every valency: the packed listing
+    yields what the plain one does, in the same order, and extends as many
+    prefixes: the count and image tests prune no less and no more."""
+    allowed = PairSet.universe(n).mask
+    for q in removed:
+        allowed &= ~(1 << q % pair_capacity(n))
+    uni = _Universe(n)
+    for r in range(1, n - 1):
+        clock = _CountingClock()
+        with mock.patch.object(search_module, "time", clock):
+            listed = list(uni.regular_subsets(r, allowed, fixed, deadline=math.inf))
+        assert (listed, clock.count) == _plain_listing(n, r, allowed, fixed)
 
 
 def test_root_listing_matches_reference_orbits():
