@@ -6,28 +6,28 @@ coordinate permutations permute the relations) and axiom A2 (the principal
 regularity condition), producing the full tensor of intersection numbers
 p_{ijk}^l together with the three marginal parameter families.
 
-A1, A2 and A3 read one table, the relation id of every triple laid out flat
-at x*n*n + y*n + z with its shift orbit: `TriplePartition.id_table`, built
-once by `validate` or stored by the partition. verify_a1 counts the ids in
-each row (x, y, .). verify_a2 bins, for every triple (x,y,z), each w in Omega
-by the ids of (w,y,z), (x,w,z), (x,y,w): three slices of the table, counted
-by one C-level Counter over their zip (O(n^4) work, almost all in C); the
-count vector must be constant across each relation. verify_a3 counts the
-pairs (id of t, id of g(t)) in one Counter per permutation g. The marginals
-are tensor sums over the bins of R3 = {(x,x,y)} and R1 = {(x,y,y)}: those
-bins count the completions of a pair of distinct points in each slot, and A2
-makes them constant, so they need no recount.
+A1, A2 and A3 read one table, `TriplePartition.table`: the relation id of
+every triple laid out flat at x*n*n + y*n + z. A partition is one by
+construction, so every triple has an id. verify_a1 counts the ids in each row
+(x, y, .). verify_a2 bins, for every triple (x,y,z), each w in Omega by the
+ids of (w,y,z), (x,w,z), (x,y,w): three slices of the table, counted by one
+C-level Counter over their zip (O(n^4) work, almost all in C); the count
+vector must be constant across each relation. verify_a3 counts the pairs (id
+of t, id of g(t)) in one Counter per permutation g. The marginals are tensor
+sums over the bins of R3 = {(x,x,y)} and R1 = {(x,y,y)}: those bins count the
+completions of a pair of distinct points in each slot, and A2 makes them
+constant, so they need no recount.
 
-When the diagonal shift t -> t + (1,1,1) keeps every id in the table (tested
-row by row as the table is built), it is an automorphism: it maps the
-w-column of t onto that of its image, so the two count vectors agree, and it
-commutes with each g, so the pair (id of t, id of g(t)) is constant on each
-shift orbit. An orbit has n triples and exactly one with x = 0, so all three
-checks scan that fibre alone (A1 in O(n^2) in place of O(n^3), A2 in O(n^3)
-in place of O(n^4)); A3 multiplies each pair count by n. The A2 scan is
-x-major and every relation meets x = 0, so the reference triples are those of
-the full scan; a failing triple shifted to x = 0 fails too and comes earlier,
-so the first witness is the same.
+When the diagonal shift t -> t + (1,1,1) keeps every id in the table
+(`TriplePartition.orbit` is n, tested row by row once per partition), it is an
+automorphism: it maps the w-column of t onto that of its image, so the two
+count vectors agree, and it commutes with each g, so the pair (id of t, id of
+g(t)) is constant on each shift orbit. An orbit has n triples and exactly one
+with x = 0, so all three checks scan that fibre alone (A1 in O(n^2) in place
+of O(n^3), A2 in O(n^3) in place of O(n^4)); A3 multiplies each pair count by
+n. The A2 scan is x-major and every relation meets x = 0, so the reference
+triples are those of the full scan; a failing triple shifted to x = 0 fails
+too and comes earlier, so the first witness is the same.
 """
 
 from __future__ import annotations
@@ -122,10 +122,9 @@ def verify_a1(A: TriplePartition) -> Union[dict, AxiomFailure]:
     Each row (x, y, .) of the table is counted once, in lexicographic order
     from (0, 1); a failing relation's witness is the first pair whose count
     differs. On a shift-closed table only the x = 0 rows are read: row
-    (x, y, .) is row (0, y-x, .) rotated, and (0, y-x) comes first. KeyError
-    when A does not cover the triple space."""
+    (x, y, .) is row (0, y-x, .) rotated, and (0, y-x) comes first."""
     n = A.n
-    flat, orbit = A.id_table
+    flat, orbit = A.table, A.orbit
     ref = Counter(flat[n : 2 * n])  # the row of (0, 1)
     least = (len(A.sizes), None, None)  # (id, pair, count) of the least id that differs
     for x, y in product(range(n // orbit), range(n)):
@@ -157,14 +156,13 @@ def verify_a1(A: TriplePartition) -> Union[dict, AxiomFailure]:
 
 def verify_a3(A: TriplePartition) -> Union[dict, AxiomFailure]:
     """The induced Sym(3) action on relation ids, or a witness (i, sigma)
-    whose permuted relation is not a relation of the partition; KeyError
-    when A does not cover the triple space.
+    whose permuted relation is not a relation of the partition.
 
     g maps R_i onto R_j exactly when it sends all |R_i| triples of R_i into
     R_j and |R_i| = |R_j|; one Counter over (id of t, id of g(t)) per g
     decides this for every relation at once."""
     n = A.n
-    flat, orbit = A.id_table
+    flat, orbit = A.table, A.orbit
     images = {}
     for g in SYM3:
         # t^g holds t[k] at position g[k] (permute_triple), so its index is
@@ -190,12 +188,11 @@ def verify_a2(A: TriplePartition) -> Union[StructureTensor, AxiomFailure]:
     different count vectors.
 
     Needs the trivial layout (ids 0..3 are R0..R3, as :func:`verify_ast`
-    checks first): the marginals are read off the constant bins of R1 and R3;
-    KeyError when A does not cover the triple space.
+    checks first): the marginals are read off the constant bins of R1 and R3.
     """
     n = A.n
     nn = n * n
-    flat, orbit = A.id_table
+    flat, orbit = A.table, A.orbit
     first = [[flat[y * n + z :: nn] for z in range(n)] for y in range(n)]  # ids of (w,y,z)
     reference: dict = {}  # relation id -> (triple, count vector)
     for x in range(n // orbit):
@@ -262,10 +259,6 @@ def verify_ast(A: TriplePartition) -> ASTReport:
     marginals are A2's: once every triple (x,x,y) of R3 has one bin vector,
     each pair x != y has as many completions w in the first (or middle) slot
     as any other, so :func:`derived_parameters` cannot disagree."""
-    try:
-        A.validate()
-    except ValueError as exc:
-        return ASTReport(False, failures=[AxiomFailure("partition", {"reason": str(exc)})])
     if not verify_trivial(A):
         return ASTReport(
             False, failures=[AxiomFailure("trivial", {"reason": "ids 0..3 are not R0..R3"})]

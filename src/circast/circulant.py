@@ -433,19 +433,14 @@ def extract_partition(A: TriplePartition) -> IndexPartition:
     fibre x = 0 of its table; inverse of :func:`build_ast` up to relation
     order. A scheme the diagonal shift moves names its first moved relation."""
     n = A.n
-    try:
-        A.validate()
-    except ValueError as exc:
-        raise NotCirculantAST(f"not a triple partition: {exc}") from exc
     if len(A.sizes) < 5 or not verify_trivial(A):
         raise NotCirculantAST("relations 0..3 are not the trivial relations")
-    flat, orbit = A.id_table
-    if orbit == 1:  # so a relation past the trivial ones is not shift-closed
+    if A.orbit == 1:  # so a relation past the trivial ones is not shift-closed
         rid, moved = next((rid, m) for rid in range(4, len(A.sizes)) if (m := _unshifted(A.relations[rid])))
         t = min(moved)
         message = f"relation {rid} is not a nontrivial 3-circulant: shift of {t} is missing"
         raise NotCirculantAST(message, witness=t)
     masks = [0] * len(A.sizes)
     for rank, (i, j) in enumerate(PairSet.universe(n)):
-        masks[flat[i * n + j]] |= 1 << rank
+        masks[A.table[i * n + j]] |= 1 << rank
     return IndexPartition(n, tuple(PairSet(n, mask) for mask in masks[4:]))

@@ -9,12 +9,13 @@ and are stored as bitmasks keyed by the lexicographic rank of (i, j) in X(n);
 the search works on raw masks, `|` serves `symmetrise` and `-` the benchmark's
 input builders. Relations and the two partition types canonicalise their
 contents: equal values compare equal and serialise to identical JSON. A triple
-partition from JSON or from circast's builders is its relation-id table.
+partition is its relation-id table and is a partition of Omega^3 by
+construction: made from relations or read from JSON, it is checked once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from typing import Iterable, Iterator, Optional
@@ -255,7 +256,7 @@ def trivial_relations(d: Domain) -> tuple[TernaryRelation, ...]:
 
 def verify_trivial(A: "TriplePartition") -> bool:
     """True iff relations 0..3 are exactly the four trivial relations, read
-    off the sizes and the table; KeyError when A does not cover Omega^3."""
+    off the sizes and the table."""
     n, table = A.n, A.table
     trivial = enumerate(trivial_relations(make_domain(n)))
     return A.sizes[:4] == [n] + [n * (n - 1)] * 3 and all(
@@ -277,41 +278,31 @@ def _flat_indices(n: int, triples) -> list:
     return _flat_indices(n, TernaryRelation.from_triples(n, triples).triples)
 
 
-def _partition_table(n: int, sizes: list, build):
-    """build() once no relation is empty and the sizes sum to n^3, when its
-    KeyError on a triple in no relation means an overlap or a stray triple."""
-    if 0 in sizes:
-        raise ValueError(f"relation {sizes.index(0)} is empty")
-    if sum(sizes) == n**3:
-        try:
-            return build()
-        except KeyError:
-            pass
-    raise ValueError("relations do not partition the triple space")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TriplePartition:
-    """A labelled partition of Omega^3: relation id i is index i of
-    `relations` and `sizes`, and the id of (x, y, z) is `table[x*n*n+y*n+z]`.
+    """A labelled partition of Omega^3 into nonempty relations: the id of
+    (x, y, z) is `table[x*n*n + y*n + z]`, and relation i holds `sizes[i]`
+    triples. Ids 0..3 are reserved for the trivial relations when present.
 
-    Ids 0..3 are reserved for the trivial relations when present. The
-    constructor trusts its relations; use :meth:`validate` when partition-ness
-    is not guaranteed by construction. A partition stored as its table and
-    sizes (:meth:`from_table`) builds `relations`, the field's default, lazily.
+    Made from its relations or read by :meth:`from_obj`, a partition is
+    checked once, by :meth:`validate`; circast's builders lay down tables that
+    are partitions by construction (:meth:`from_table`). `relations` is a view
+    built from the table when asked for.
     """
 
     n: int
-    relations: tuple
+    table: list
+    sizes: list = field(compare=False)  # read off the table
 
-    def __post_init__(self) -> None:
-        make_domain(self.n)
-        relations = tuple(self.relations)
+    def __init__(self, n: int, relations: Iterable) -> None:
+        make_domain(n)
+        relations = tuple(relations)
         for rel in relations:
-            if not isinstance(rel, TernaryRelation) or rel.n != self.n:
+            if not isinstance(rel, TernaryRelation) or rel.n != n:
                 raise ValueError("relations must be TernaryRelations over the same base set")
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "sizes", [len(rel) for rel in relations])
+        sizes = [len(rel) for rel in relations]
+        table = self.validate(n, sizes, lambda: self.triple_ids(n, relations))
+        vars(self).update(n=n, table=table, sizes=sizes)
 
     @classmethod
     def from_table(cls, n: int, table: list, sizes: list) -> "TriplePartition":
@@ -319,6 +310,33 @@ class TriplePartition:
         part = cls.__new__(cls)
         vars(part).update(n=n, table=table, sizes=sizes)
         return part
+
+    @classmethod
+    def validate(cls, n: int, sizes: list, build) -> list:
+        """build(), the table of relations of these sizes, once none is empty
+        and the sizes sum to n^3, so that a KeyError from build() on a triple
+        in no relation means an overlap or a stray triple. Nothing of size
+        n^3 is built for relations whose sizes fail."""
+        if 0 in sizes:
+            raise ValueError(f"relation {sizes.index(0)} is empty")
+        if sum(sizes) == n**3:
+            try:
+                return build()
+            except KeyError:
+                pass
+        raise ValueError("relations do not partition the triple space")
+
+    @classmethod
+    def triple_ids(cls, n: int, relations: tuple) -> list:
+        """The id of the relation holding each triple, laid out flat at
+        x*n*n + y*n + z; KeyError on a triple in no relation."""
+        ids: dict = {}
+        for rid, rel in enumerate(relations):
+            ids.update(dict.fromkeys(rel.triples, rid))
+        return list(map(ids.__getitem__, product(range(n), repeat=3)))
+
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self.table)))
 
     @property
     def m(self) -> int:
@@ -332,45 +350,24 @@ class TriplePartition:
         return out
 
     @cached_property
-    def relations(self) -> tuple:  # the default of the field above
+    def relations(self) -> tuple:
         triples = self._by_id(product(range(self.n), repeat=3))
         return tuple(TernaryRelation(self.n, frozenset(rel)) for rel in triples)
 
-    def triple_ids(self) -> list:
-        """The id of the relation holding each triple, laid out flat at
-        x*n*n + y*n + z; KeyError on a triple in no relation."""
-        ids: dict = {}
-        for rid, rel in enumerate(self.relations):
-            ids.update(dict.fromkeys(rel.triples, rid))
-        return list(map(ids.__getitem__, product(range(self.n), repeat=3)))
-
     @cached_property
-    def table(self) -> list:
-        return self.triple_ids()
-
-    @cached_property
-    def id_table(self) -> tuple[list, int]:
-        """The :attr:`table` and the number of triples each triple of the
-        fibre x = 0 stands for: n when the diagonal shift keeps every id, else
-        1. Built once; KeyError on a triple in no relation."""
+    def orbit(self) -> int:
+        """The number of triples that each triple of the fibre x = 0 stands
+        for: n when the diagonal shift keeps every id of the table, else 1."""
         n = self.n
-        flat = self.table
-        rows = [flat[start : start + n] for start in range(0, n**3, n)]  # (x, y, .) at x*n + y
+        rows = [self.table[start : start + n] for start in range(0, n**3, n)]  # (x, y, .) at x*n + y
         closed = all(  # row (x+1, y+1, .) is row (x, y, .) rotated right by one
             rows[(x + 1) % n * n + (y + 1) % n] == row[-1:] + row[:-1]
             for (x, y), row in zip(product(range(n), repeat=2), rows)
         )
-        return flat, n if closed else 1
-
-    def validate(self) -> None:
-        """Check nonempty relations, pairwise disjoint, union = Omega^3."""
-        _partition_table(self.n, self.sizes, lambda: self.id_table)
+        return n if closed else 1
 
     def to_obj(self) -> dict:
-        if "relations" in vars(self):
-            rows = [[list(t) for t in rel.sorted_triples()] for rel in self.relations]
-        else:
-            rows = self._by_id(map(list, product(range(self.n), repeat=3)))
+        rows = self._by_id(map(list, product(range(self.n), repeat=3)))
         return {"n": self.n, "relations": [{"id": rid, "triples": triples} for rid, triples in enumerate(rows)]}
 
     @classmethod
@@ -388,7 +385,7 @@ class TriplePartition:
             rel = dict.fromkeys(_flat_indices(n, triples), e["id"])
             sizes[e["id"]] = len(rel)
             cells.update(rel)
-        table = _partition_table(n, sizes, lambda: list(map(cells.__getitem__, range(n**3))))
+        table = cls.validate(n, sizes, lambda: list(map(cells.__getitem__, range(n**3))))
         return cls.from_table(n, table, sizes)
 
     def __repr__(self) -> str:

@@ -190,5 +190,5 @@ def is_two_transitive(G: GroupSpec) -> bool:
 
 def shift_invariance_check(A: TriplePartition) -> bool:
     """True iff the scheme is circulant: every relation keeps its id under the
-    diagonal shift; KeyError on a triple in no relation."""
-    return A.id_table[1] == A.n
+    diagonal shift."""
+    return A.orbit == A.n

@@ -156,34 +156,34 @@ class _Universe:
 
         Row 1 holds the least ranks, so nothing is listed unless it has r
         allowed pairs, and then its first option is the least allowed pair:
-        each row-1 choice takes it. Each row gets r pairs; a prefix is dropped
-        once a column or a difference (j - i) mod n needs more pairs than rows
-        are left. The maps send the rows, columns and differences of P to the
-        rows and columns of its images (tau(i, j) = (-i, j - i), T swaps the
-        two), so all six images are regular. A placeable prefix is dropped
-        once an image meets it and a finished row outside it, so at the end an
-        image that meets P is P and, the maps forming a group, any two images
-        are equal or disjoint. A fixed prefix is dropped once an image meets a
+        each row-1 choice takes it. Each row gets r pairs, none in a column or
+        a difference (j - i) mod n that already holds r, so the n - 1 rows
+        leave each of the n - 1 columns and differences with exactly r. The
+        maps send the rows, columns and differences of P to the rows and
+        columns of its images (tau(i, j) = (-i, j - i), T swaps the two), so
+        all six images are regular. A placeable prefix is dropped once an
+        image meets it and a finished row outside it, so at the end an image
+        that meets P is P and, the maps forming a group, any two images are
+        equal or disjoint. A fixed prefix is dropped once an image meets a
         finished row outside it. Each row-1+row-2 prefix kept takes the next
         of `turns`, and is extended only if that is true. Raises TimeoutError
         past the deadline.
 
-        Adding h - t to every count field, h > n its guard bit, sets the
-        guards of the fields that hold t pairs or more: with t = r an option
-        whose column or difference is full is dropped, and with t = r - rows
-        left a prefix is kept only if every guard is set. Adding the lane mask
-        `low` sets the guards of the nonempty lanes, so one AND finds a lane
-        where an image meets both the prefix and a finished row outside it."""
+        Adding h - r to every count field, h > n its guard bit, sets the
+        guards of the fields that hold r pairs: an option of the next row
+        whose guards meet them has a full column or difference and is dropped.
+        Adding the lane mask `low` sets the guards of the nonempty lanes, so
+        one AND finds a lane where an image meets both the prefix and a
+        finished row outside it."""
         n = self.n
         full, shifts, rep, low, guard = self.full, self.shifts, self.rep, self.low, self.guard
         ones, half, mask_at = self.ones, self.half, self.mask_at
-        field_guards = ones * half
         rows = []
-        for idx, ranks in enumerate(self.row_ranks):
+        for ranks in self.row_ranks:
             opts = [self.options[rank] for rank in ranks if (allowed >> rank) & 1]
             if len(opts) < r:
                 return
-            rows.append((opts, ones * (half - r + n - 2 - idx), ((1 << ranks.stop) - 1) * rep))
+            rows.append((opts, ((1 << ranks.stop) - 1) * rep))
 
         def rec(idx: int, total: int) -> Iterator[tuple]:
             if deadline is not None and time.monotonic() > deadline:
@@ -191,7 +191,7 @@ class _Universe:
             if idx == n - 1:
                 yield total >> mask_at, tuple(total >> s & full for s in shifts)
                 return
-            row, bias, finished = rows[idx]
+            row, finished = rows[idx]
             cut = total + ones * (half - r)
             opts = [opt for opt, guards in row if not cut & guards]
             k = r
@@ -203,7 +203,7 @@ class _Universe:
                 inside = new & (new >> mask_at) * rep
                 hit = new & finished ^ inside
                 if (not hit or not fixed and not (hit + low) & (inside + low) & guard) and (
-                    (new + bias) & field_guards == field_guards and (idx != 1 or next(turns))
+                    idx != 1 or next(turns)
                 ):
                     yield from rec(idx + 1, new)
 

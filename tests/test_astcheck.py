@@ -136,7 +136,7 @@ def test_verify_a1_on_the_trivial_group_matches_the_reference():
     """Every nontrivial triple is its own relation: the shift moves the
     table and every row differs from row (0, 1)."""
     A = orbit_partition_on_triples(GroupSpec(8, ()))
-    assert A.id_table[1] == 1
+    assert A.orbit == 1
     assert verify_a1(A) == oracles.reference_verify_a1(A)
 
 
@@ -271,15 +271,13 @@ def test_verify_ast_rejects_random_partition():
 
 
 def test_verify_ast_reports_a_triple_outside_the_triple_space():
-    """Relation sizes that sum to n^3 with one triple outside Omega^3 are a
-    "partition" failure, not a KeyError from the relation-id table."""
+    """Relation sizes that sum to n^3 with one triple outside Omega^3 never
+    reach verify_ast: the constructor refuses them, not with a KeyError from
+    the relation-id table."""
     n = 4
     outside = TernaryRelation(n, frozenset(distinct_triples(n) - {(0, 1, 2)} | {(0, 1, 9)}))
-    report = verify_ast(TriplePartition(n, trivial_relations(make_domain(n)) + (outside,)))
-    assert not report.ok
-    assert [f.to_obj() for f in report.failures] == [
-        {"axiom": "partition", "reason": "relations do not partition the triple space"}
-    ]
+    with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
+        TriplePartition(n, trivial_relations(make_domain(n)) + (outside,))
 
 
 def test_verify_ast_builds_the_relation_id_table_once(monkeypatch, tmp_path):
@@ -287,8 +285,10 @@ def test_verify_ast_builds_the_relation_id_table_once(monkeypatch, tmp_path):
     triple_ids scan, and verify-ast, extract and params read a shift-closed
     scheme without ever building its relations as sets of triples."""
     calls, read = [], []
-    triple_ids = TriplePartition.triple_ids
-    monkeypatch.setattr(TriplePartition, "triple_ids", lambda A: calls.append(A) or triple_ids(A))
+    triple_ids = TriplePartition.triple_ids.__func__
+    monkeypatch.setattr(
+        TriplePartition, "triple_ids", classmethod(lambda cls, *args: calls.append(args) or triple_ids(cls, *args))
+    )
     from_table = TriplePartition.from_table.__func__
     monkeypatch.setattr(
         TriplePartition, "from_table", classmethod(lambda cls, *args: read.append(from_table(cls, *args)) or read[-1])

@@ -21,6 +21,7 @@ from circast import (
     NotNontrivial,
     PairSet,
     TernaryRelation,
+    TriplePartition,
     build_ast,
     circulant_structure_constant,
     expand,
@@ -348,7 +349,7 @@ def test_build_ast_shapes():
 
     unique3 = build_ast(IndexPartition(3, (PairSet.universe(3),)))
     assert len(unique3.relations) == 5
-    unique3.validate()
+    assert TriplePartition(3, unique3.relations) == unique3
 
     n = 4
     parts = tuple(PairSet.from_pairs(n, [p]) for p in PairSet.universe(n))
@@ -370,11 +371,10 @@ def test_extract_partition_rejects_malformed():
     # swap a trivial relation for a nontrivial one
     broken = list(A.relations)
     broken[1], broken[4] = broken[4], broken[1]
-    from circast import TriplePartition
-
     with pytest.raises(NotCirculantAST):
         extract_partition(TriplePartition(5, tuple(broken)))
-    # replace a nontrivial relation by a non-shift-closed one of the same size
+    # a nontrivial relation trades a triple for one of the next relation's:
+    # relations 4 and 5 overlap, so no scheme reaches extract_partition
     tampered = list(A.relations)
     triples = set(tampered[4].triples)
     a = min(triples)
@@ -382,5 +382,10 @@ def test_extract_partition_rejects_malformed():
     triples.remove(a)
     triples.add(b)
     tampered[4] = TernaryRelation(5, frozenset(triples))
-    with pytest.raises(NotCirculantAST):
+    with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
+        TriplePartition(5, tuple(tampered))
+    # traded both ways, the two triples leave a partition that the shift
+    # moves: extract_partition names the relation and the triple
+    tampered[5] = TernaryRelation(5, tampered[5].triples - {b} | {a})
+    with pytest.raises(NotCirculantAST, match="^relation 4 is not a nontrivial 3-circulant: shift of "):
         extract_partition(TriplePartition(5, tuple(tampered)))

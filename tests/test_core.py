@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -119,28 +121,46 @@ def test_triple_partition_of_omega3_at_n3():
     }
     rels.append(TernaryRelation(n, frozenset(distinct)))
     part = TriplePartition(n, tuple(rels))
-    part.validate()
+    assert part.table == TriplePartition.triple_ids(n, rels)
     assert [len(r) for r in part.relations] == [3, 6, 6, 6, 6]
     assert part.m == 4
 
 
 def test_triple_partition_validate_rejects_bad_input():
+    """The constructor refuses what is not a partition of Omega^3."""
     n = 3
     rels = list(trivial_relations(make_domain(n)))
     # missing the distinct triples: not a cover
-    with pytest.raises(ValueError):
-        TriplePartition(n, tuple(rels)).validate()
+    with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
+        TriplePartition(n, tuple(rels))
     # overlapping relations
-    bad = rels + [rels[0]]
-    with pytest.raises(ValueError):
-        TriplePartition(n, tuple(bad)).validate()
+    with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
+        TriplePartition(n, tuple(rels + [rels[0]]))
+    # an empty relation
+    distinct = TernaryRelation(n, frozenset(permutations(range(n), 3)))
+    with pytest.raises(ValueError, match="^relation 4 is empty$"):
+        TriplePartition(n, tuple(rels) + (TernaryRelation(n, frozenset()), distinct))
     # the right sizes, but a triple outside Omega^3 stands in for (0, 1, 2)
     n = 4
     distinct = set(permutations(range(n), 3))
     outside = TernaryRelation(n, frozenset(distinct - {(0, 1, 2)} | {(0, 1, 9)}))
-    part = TriplePartition(n, trivial_relations(make_domain(n)) + (outside,))
     with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
-        part.validate()
+        TriplePartition(n, trivial_relations(make_domain(n)) + (outside,))
+
+
+def test_triple_partition_checks_sizes_before_building_the_table(monkeypatch):
+    """A non-partition is refused by its relation sizes before anything of
+    size n^3 is built: at n = 200 a table of ids alone would take 64 MB."""
+    monkeypatch.setattr(TriplePartition, "triple_ids", classmethod(lambda cls, *args: pytest.fail("table built")))
+    small = TernaryRelation(200, frozenset({(0, 0, 0)}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
+            TriplePartition(200, (small,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_triple_partition_from_obj_checks_ids():
@@ -155,15 +175,19 @@ def test_triple_partition_from_obj_checks_ids():
         TriplePartition.from_obj(obj)
 
 
-def test_cached_id_table_leaves_equality_and_hash_alone():
+def test_cached_orbit_leaves_equality_and_hash_alone():
+    """A partition stores its table and sizes; the shift orbit and the
+    relations are cached views that neither equality nor hashing reads."""
     n = 4
-    rels = trivial_relations(make_domain(n))
-    distinct = TernaryRelation(n, frozenset(permutations(range(n), 3)))
-    checked, fresh = TriplePartition(n, rels + (distinct,)), TriplePartition(n, rels + (distinct,))
-    checked.validate()
-    assert "id_table" in vars(checked) and "id_table" not in vars(fresh)
-    assert checked == fresh and hash(checked) == hash(fresh)
-    assert checked.id_table == fresh.id_table == (checked.triple_ids(), n)
+    rels = trivial_relations(make_domain(n)) + (TernaryRelation(n, frozenset(permutations(range(n), 3))),)
+    viewed, fresh = TriplePartition(n, rels), TriplePartition(n, rels)
+    assert set(vars(fresh)) == {"n", "table", "sizes"}
+    assert viewed.orbit == n and viewed.relations == rels
+    assert set(vars(viewed)) == {"n", "table", "sizes", "orbit", "relations"}
+    assert viewed == fresh and hash(viewed) == hash(fresh)
+    assert viewed.table == fresh.table == TriplePartition.triple_ids(n, rels)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh.table = []
 
 
 def test_index_partition_canonicalises_and_validates():

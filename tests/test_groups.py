@@ -9,6 +9,7 @@ from circast import (
     MalformedCycles,
     NotPrime,
     Permutation,
+    TriplePartition,
     agl1,
     cycles_string,
     extract_partition,
@@ -80,7 +81,7 @@ def test_group_spec_json_round_trip():
 def test_symmetric_group_has_one_orbit():
     A = orbit_partition_on_triples(symmetric_group(5))
     assert [len(rel) for rel in A.relations[4:]] == [60]
-    A.validate()
+    assert TriplePartition(5, A.relations) == A
 
 
 def test_shift_group_orbits_fail_a1():
@@ -101,7 +102,7 @@ def test_affine_group_orbits_form_circulant_scheme():
 def test_orbits_cover_distinct_triples_exactly_once():
     for G in (shift_group(4), dihedral_group(5), agl1(7), symmetric_group(4)):
         A = orbit_partition_on_triples(G)
-        A.validate()
+        assert TriplePartition(G.n, A.relations) == A
         covered = set()
         for rel in A.relations[4:]:
             assert covered.isdisjoint(rel.triples)

@@ -52,10 +52,11 @@ def _complete_search(n, **flags):
     return result
 
 
-def test_all_thin_n11_finds_exactly_agl1():
-    result = _complete_search(11, require_all_thin=True)
-    assert result.nodes == 5
-    agl = extract_partition(orbit_partition_on_triples(agl1(11)))
+@pytest.mark.parametrize("n, nodes", [(11, 5), (13, 84)])
+def test_all_thin_finds_exactly_agl1(n, nodes):
+    result = _complete_search(n, require_all_thin=True)
+    assert result.nodes == nodes
+    agl = extract_partition(orbit_partition_on_triples(agl1(n)))
     assert [hit.partition for hit in result.hits] == [agl]
 
 
