@@ -88,7 +88,6 @@ from .search import (
     search_ast_regular,
 )
 from .thin import (
-    MatchingDecomposition,
     NotRegular,
     NotThin,
     ThinWitness,

@@ -235,12 +235,12 @@ def cmd_thin(args) -> int:
 
 def cmd_decompose(args) -> int:
     I = PairSet.from_obj(_load(args.infile))
-    decomposition = matching_decomposition(I)
+    parts = matching_decomposition(I)
     if args.format == "json":
-        _emit(decomposition.to_obj())
+        _emit([part.to_obj() for part in parts])
     else:
-        print(f"{len(decomposition.parts)} perfect matchings:")
-        for part in decomposition.parts:
+        print(f"{len(parts)} perfect matchings:")
+        for part in parts:
             profile = sorted(thin_profile(expand(part)))
             print(f"  {list(part.pairs())}  thin for {profile}")
     return 0

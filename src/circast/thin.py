@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circulant import expand, is_circulant, regularity_stats
+from .circulant import CYCLE123, IDENTITY, SWAP23, expand, is_circulant, permute_triple, regularity_stats
 from .core import CircastError, PairSet, TernaryRelation
 
 
@@ -30,10 +30,10 @@ class NotRegular(CircastError):
     """The index set fails row/column regularity."""
 
 
-AB_LABELS = ("12", "13", "23")
-
-# label -> 0-based positions (a, b, c) with {a, b, c} = {0, 1, 2}
-_AB_POS = {"12": (0, 1, 2), "13": (0, 2, 1), "23": (1, 2, 0)}
+# label ab -> the Sym(3) element moving (x, x+y, x+rho(y)) to slots (a, b, c);
+# its first two entries are the label's digits
+_AB_ELEMENT = {"12": IDENTITY, "13": SWAP23, "23": CYCLE123}
+AB_LABELS = tuple(_AB_ELEMENT)
 
 
 def _is_thin(R: TernaryRelation, ab: str) -> bool:
@@ -41,7 +41,7 @@ def _is_thin(R: TernaryRelation, ab: str) -> bool:
     n = R.n
     if len(R) != n * (n - 1):
         return False
-    a, b, _ = _AB_POS[ab]
+    a, b, _ = (k - 1 for k in _AB_ELEMENT[ab])
     proj = {(t[a], t[b]) for t in R.triples}
     return len(proj) == len(R) and proj.isdisjoint(zip(range(n), range(n)))
 
@@ -71,16 +71,10 @@ class ThinWitness:
 def thin_relation(n: int, ab: str, rho: dict) -> TernaryRelation:
     """The ab-thin 3-circulant encoded by rho: for each point x and each
     nonzero y, the triple with x at slot a, x+y at slot b, x+rho(y) at slot c."""
-    a, b, c = _AB_POS[ab]
-    triples = []
-    for x in range(n):
-        for y in range(1, n):
-            t = [0, 0, 0]
-            t[a] = x
-            t[b] = (x + y) % n
-            t[c] = (x + rho[y]) % n
-            triples.append(tuple(t))
-    return TernaryRelation(n, frozenset(triples))
+    g = _AB_ELEMENT[ab]
+    return TernaryRelation(
+        n, frozenset(permute_triple((x, (x + y) % n, (x + rho[y]) % n), g) for x in range(n) for y in range(1, n))
+    )
 
 
 def thin_witness(R: TernaryRelation, ab: str) -> ThinWitness:
@@ -100,20 +94,10 @@ def _read_witness(R: TernaryRelation, ab: str) -> ThinWitness:
     """thin_witness for a relation already known to be ab-thin and
     shift-closed: rho is then defined on 1..n-1, and thin_relation(n, ab, rho),
     the shifts of R's n-1 slot-a zero triples, is R."""
-    a, b, c = _AB_POS[ab]
+    a, b, c = (k - 1 for k in _AB_ELEMENT[ab])
     rho = {t[b]: t[c] for t in R.triples if t[a] == 0}
     derangement = all(rho[y] not in (0, y) for y in rho)
     return ThinWitness(ab, dict(sorted(rho.items())), derangement)
-
-
-@dataclass
-class MatchingDecomposition:
-    """Disjoint perfect matchings partitioning a regular index set."""
-
-    parts: tuple
-
-    def to_obj(self) -> list:
-        return [part.to_obj() for part in self.parts]
 
 
 def _perfect_matching(n: int, adj: dict) -> dict:
@@ -137,10 +121,10 @@ def _perfect_matching(n: int, adj: dict) -> dict:
     return {u: v for v, u in match_right.items()}
 
 
-def matching_decomposition(I: PairSet) -> MatchingDecomposition:
-    """Split a regular index set of valency n_I into exactly n_I disjoint
-    perfect matchings, each of which expands to a nontrivial 12-thin and
-    13-thin 3-circulant."""
+def matching_decomposition(I: PairSet) -> tuple:
+    """Split a regular index set of valency n_I into a tuple of exactly n_I
+    disjoint perfect matchings (PairSets), each of which expands to a
+    nontrivial 12-thin and 13-thin 3-circulant."""
     report = regularity_stats(I)
     if not report.ok:
         raise NotRegular(
@@ -157,7 +141,7 @@ def matching_decomposition(I: PairSet) -> MatchingDecomposition:
         for u, v in matching.items():
             adj[u].remove(v)
     _certify(I, parts)
-    return MatchingDecomposition(tuple(parts))
+    return tuple(parts)
 
 
 def _certify(I: PairSet, parts: list) -> None:

@@ -237,10 +237,10 @@ def test_criterion_7_matching_decomposition(small_searches, coarse_family):
             continue
         checked += 1
         dec = matching_decomposition(I)
-        if len(dec.parts) != valency:
-            problems.append(f"{I!r}: {len(dec.parts)} parts")
+        if len(dec) != valency:
+            problems.append(f"{I!r}: {len(dec)} parts")
         union = PairSet(I.n, 0)
-        for part in dec.parts:
+        for part in dec:
             if union.mask & part.mask:
                 problems.append(f"{I!r}: overlapping matchings")
             union = union | part

@@ -21,6 +21,7 @@ from circast import (
     TriplePartition,
     build_ast,
     is_ast_regular,
+    matching_decomposition,
     verify_a1,
     verify_ast,
 )
@@ -199,13 +200,21 @@ def test_a3_failure_inside_verify_ast(tmp_path):
 
 
 def test_decompose(tmp_path):
-    x4 = write_json(tmp_path, "x4.json", PairSet.universe(4).to_obj())
+    X4 = PairSet.universe(4)
+    x4 = write_json(tmp_path, "x4.json", X4.to_obj())
     code, obj = run_json(["decompose", "--in", x4])
     assert code == 0
     assert [sorted(map(tuple, part["pairs"])) for part in obj] == [
         [(1, 2), (2, 3), (3, 1)],
         [(1, 3), (2, 1), (3, 2)],
     ]
+    assert obj == [p.to_obj() for p in matching_decomposition(X4)]
+    assert run(["decompose", "--in", x4]) == (
+        0,
+        "2 perfect matchings:\n"
+        "  [(1, 2), (2, 3), (3, 1)]  thin for ['12', '13']\n"
+        "  [(1, 3), (2, 1), (3, 2)]  thin for ['12', '13']\n",
+    )
     irregular = write_json(
         tmp_path, "irr.json", PairSet.from_pairs(4, [(1, 2), (2, 1)]).to_obj()
     )

@@ -8,7 +8,8 @@ exist exactly for n = 1, 3 mod 6 with n != 9, Peltesohn 1939). Conversely,
 a Sym(3)-fixed index set of valency 1 is a union of Sym(3) pair orbits that
 holds each row once, so listing those by exact cover lists the cyclic STS.
 The other counts below pin the complete `--symmetric` searches at n = 10 and
-11.
+11, and the complete `--all-thin` searches at composite n = 8..14, which find
+nothing at the root.
 """
 
 import pytest
@@ -58,6 +59,12 @@ def test_all_thin_finds_exactly_agl1(n, nodes):
     assert result.nodes == nodes
     agl = extract_partition(orbit_partition_on_triples(agl1(n)))
     assert [hit.partition for hit in result.hits] == [agl]
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 12, 14])
+def test_all_thin_finds_nothing_at_composite_n(n):
+    result = _complete_search(n, require_all_thin=True)
+    assert (result.hits, result.nodes) == ((), 0)
 
 
 def test_symmetric_n7_finds_both_cyclic_sts_pairs():

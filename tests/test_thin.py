@@ -104,7 +104,7 @@ def test_thin_witness_round_trip():
     n = 6
     rels = trivial_relations(make_domain(n))
     cases = [(rels[rid], ab) for rid, profile in EXPECTED_TRIVIAL_PROFILES.items() for ab in profile]
-    part = matching_decomposition(PairSet.universe(n)).parts[0]
+    part = matching_decomposition(PairSet.universe(n))[0]
     cases += [(expand(part), ab) for ab in thin_profile(expand(part))]
     for R, ab in cases:
         w = thin_witness(R, ab)
@@ -134,12 +134,12 @@ def test_one_regular_with_regular_transpose_image_is_triply_thin():
 
 def test_matching_decomposition_valency_one_is_identity():
     I = PairSet.from_pairs(4, [(1, 2), (2, 3), (3, 1)])
-    assert matching_decomposition(I).parts == (I,)
+    assert matching_decomposition(I) == (I,)
 
 
 def test_matching_decomposition_x4():
     dec = matching_decomposition(PairSet.universe(4))
-    assert [sorted(p.pairs()) for p in dec.parts] == [
+    assert [sorted(p.pairs()) for p in dec] == [
         [(1, 2), (2, 3), (3, 1)],
         [(1, 3), (2, 1), (3, 2)],
     ]
@@ -155,14 +155,14 @@ def test_matching_decomposition_postconditions():
     cases = [PairSet.universe(n) for n in range(4, 9)]
     # a non-coarse case: the complement of one matching inside X(5)
     X5 = PairSet.universe(5)
-    first = matching_decomposition(X5).parts[0]
+    first = matching_decomposition(X5)[0]
     cases.append(X5 - first)
     for I in cases:
         valency = regularity_stats(I).n_I
         dec = matching_decomposition(I)
-        assert len(dec.parts) == valency
+        assert len(dec) == valency
         union = PairSet(I.n, 0)
-        for part in dec.parts:
+        for part in dec:
             assert not union.mask & part.mask
             union = union | part
             stats = regularity_stats(part)

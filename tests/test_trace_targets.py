@@ -7,10 +7,13 @@ starts."""
 import importlib
 import importlib.util
 import inspect
+import json
 from itertools import permutations
 from pathlib import Path
 
-from circast import TernaryRelation, TriplePartition, make_domain, trivial_relations
+import circast.cli
+import circast.thin
+from circast import PairSet, TernaryRelation, TriplePartition, make_domain, trivial_relations
 
 _SPEC = importlib.util.spec_from_file_location("tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
 tracing = importlib.util.module_from_spec(_SPEC)
@@ -50,3 +53,21 @@ def test_the_partition_check_runs_under_the_tracer():
     names = [span[0] for span in tracer.spans]
     assert names.count("core.validate") == 2 and names.count("core.triple_ids") == 1
     assert A == TriplePartition(n, rels)
+
+
+def test_decompose_runs_under_the_tracer(tmp_path, capsys):
+    """The `decompose` command's decomposition and its thin profiles get
+    spans, and the tracer leaves `circast.thin` as it was."""
+    path = tmp_path / "x4.json"
+    path.write_text(json.dumps(PairSet.universe(4).to_obj()))
+    raw = dict(vars(circast.thin))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = circast.cli.main(["decompose", "--in", str(path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().out.startswith("2 perfect matchings:")
+    assert dict(vars(circast.thin)) == raw
+    names = [span[0] for span in tracer.spans]
+    assert names.count("thin.matching_decomposition") == 1 and names.count("thin.thin_profile") >= 1
