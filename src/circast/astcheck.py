@@ -209,8 +209,7 @@ def verify_a2(A: TriplePartition) -> Union[StructureTensor, AxiomFailure]:
                 if seen is None:
                     reference[l] = (t, vec)
                 elif not dict.__eq__(seen[1], vec):  # Counter's == runs in Python
-                    bins = sorted(set(seen[1]) | set(vec))
-                    bad = next(b for b in bins if seen[1][b] != vec[b])
+                    bad = min(key for key, _ in seen[1].items() ^ vec.items())
                     return AxiomFailure(
                         "A2",
                         {

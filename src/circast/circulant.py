@@ -100,10 +100,7 @@ def sym3_mul(g: Sym3Element, h: Sym3Element) -> Sym3Element:
 
 
 def sym3_inverse(g: Sym3Element) -> Sym3Element:
-    out = [0, 0, 0]
-    for k in range(3):
-        out[g[k] - 1] = k + 1
-    return tuple(out)
+    return permute_triple(IDENTITY, g)
 
 
 def permute_triple(t, g: Sym3Element):
@@ -433,7 +430,7 @@ def extract_partition(A: TriplePartition) -> IndexPartition:
     fibre x = 0 of its table; inverse of :func:`build_ast` up to relation
     order. A scheme the diagonal shift moves names its first moved relation."""
     n = A.n
-    if len(A.sizes) < 5 or not verify_trivial(A):
+    if not verify_trivial(A):
         raise NotCirculantAST("relations 0..3 are not the trivial relations")
     if A.orbit == 1:  # so a relation past the trivial ones is not shift-closed
         rid, moved = next((rid, m) for rid in range(4, len(A.sizes)) if (m := _unshifted(A.relations[rid])))

@@ -14,9 +14,9 @@ Every capability is a subcommand over the JSON file formats of the library:
     circast symmetrise --in pairset.json
     circast params --in ast.json
 
-A call builds the parser of the command it names only (every command's
-parser when the first argument is not exactly a command name); `search
---jobs N` forks its workers, so no process pool module is ever imported.
+The parser of every command is built on the first `main` call and reused by
+every later call in the process; `search --jobs N` forks its workers, so no
+process pool module is ever imported.
 
 Exit codes: 0 success, 1 verification-negative, 2 usage or input error.
 Reports go to stdout or the --out file (JSON with --format=json), written in
@@ -27,6 +27,7 @@ sort_keys=True); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -355,30 +356,26 @@ def _add_arguments(target, arguments) -> None:
             target.add_argument(argument[0], **argument[1])
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with the subparser of `command` only, or of every command
-    when it is None. A one-command parser spells out every name in its usage
-    line, so it reads as the full one's, whose errors name `command`."""
+@functools.lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    every later one; each parse_args makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="circast",
         description="Construct, verify, decompose and search circulant association schemes on triples.",
     )
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, arguments) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            _add_arguments(p, arguments)
-            p.add_argument("--format", choices=("table", "json"), default="table")
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text)
+        _add_arguments(p, arguments)
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -143,6 +143,7 @@ class PairSet:
 
     @classmethod
     def universe(cls, n: int) -> "PairSet":
+        make_domain(n)  # before a mask of (n-1)(n-2) bits is built
         return cls(n, (1 << pair_capacity(n)) - 1)
 
     def pairs(self) -> tuple[Pair, ...]:
@@ -270,8 +271,7 @@ def _flat_indices(n: int, triples) -> list:
     nn = n * n
     try:
         values = list(chain.from_iterable(triples))
-        distinct = set(values)
-        if set(map(type, values)) <= {int} and 0 <= min(distinct, default=0) and max(distinct, default=0) < n:
+        if set(map(type, values)) <= {int} and 0 <= min(values, default=0) and max(values, default=0) < n:
             return [x * nn + y * n + z for x, y, z in triples]
     except (TypeError, ValueError):
         pass

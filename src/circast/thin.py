@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circulant import CYCLE123, IDENTITY, SWAP23, expand, is_circulant, permute_triple, regularity_stats
+from .circulant import CYCLE123, IDENTITY, SWAP23, is_circulant, permute_triple, regularity_stats
 from .core import CircastError, PairSet, TernaryRelation
 
 
@@ -145,8 +145,10 @@ def matching_decomposition(I: PairSet) -> tuple:
 
 
 def _certify(I: PairSet, parts: list) -> None:
-    """Postcondition check: disjoint, union = I, every part a perfect matching
-    whose expansion is 12-thin and 13-thin."""
+    """Postcondition check: disjoint, union = I, every part a perfect matching.
+    A matching's expansion needs no thinness check: its (1,2)-projection
+    (x, x+i) meets each off-diagonal pair once because each row i holds one
+    pair, and its (1,3)-projection (x, x+j) likewise by columns."""
     union = 0
     for part in parts:
         if part.mask & union:
@@ -155,7 +157,5 @@ def _certify(I: PairSet, parts: list) -> None:
         stats = regularity_stats(part)
         if not (stats.ok and stats.n_I == 1):
             raise RuntimeError("matching decomposition produced a non-matching part")
-        if not thin_profile(expand(part)) >= {"12", "13"}:
-            raise RuntimeError("matching part expands to a non-thin relation")
     if union != I.mask:
         raise RuntimeError("matching decomposition does not cover the index set")

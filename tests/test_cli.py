@@ -715,19 +715,27 @@ def _outcomes(corpus, capsys):
     return [(argv, main(list(argv)), *capsys.readouterr()) for argv in corpus]
 
 
-def test_dispatch_matches_the_full_parser(tmp_path, coarse5_files, monkeypatch, capsys):
-    """main builds only the parser of the command that argv[0] names exactly;
-    exit code, stdout and stderr are those of a parse with every command's
-    parser."""
+def test_one_parser_serves_every_call(tmp_path, coarse5_files, monkeypatch, capsys):
+    """main reuses one parser; two passes over the corpus give the exit code,
+    stdout and stderr of a fresh parser per call."""
     corpus = _parity_corpus(tmp_path, *coarse5_files)
-    asked = []
-    monkeypatch.setattr(cli_module, "build_parser", lambda command=None: asked.append(command) or build_parser(command))
-    one = _outcomes(corpus, capsys)
-    assert asked[:8] == [None, None, None, None, "verify-ast", None, "verify-ast", "search"]
-    assert asked[8:] == [argv[0] for argv in corpus[8:]]
-    assert {code for _, code, _, _ in one} == {0, 2}
-    monkeypatch.setattr(cli_module, "build_parser", lambda command=None: build_parser())
-    assert one == _outcomes(corpus, capsys)
+    assert build_parser() is build_parser()
+    reused = _outcomes(corpus + corpus, capsys)
+    assert {code for _, code, _, _ in reused} == {0, 2}
+    monkeypatch.setattr(cli_module, "build_parser", build_parser.__wrapped__)
+    assert reused == _outcomes(corpus + corpus, capsys)
+
+
+def test_import_builds_no_parser():
+    """A fresh interpreter builds the parser on its first main call, not on
+    import, so the build stays out of import time."""
+    code = (
+        "import sys, circast.cli as cli; print(cli.build_parser.cache_info().currsize, file=sys.stderr); "
+        "cli.main(['gen-x', '--n', '3']); print(cli.build_parser.cache_info().currsize, file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(circast.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stderr.split() == ["0", "1"]
 
 
 def test_import_loads_no_process_pool():

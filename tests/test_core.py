@@ -41,6 +41,18 @@ def test_pair_universe_small():
     assert len(PairSet.universe(10)) == 72
 
 
+def test_pair_universe_checks_n_before_building_its_mask():
+    """At n = -3000 a mask of (n-1)(n-2) bits would take 1.1 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainTooSmall, match="^base set needs n >= 3, got n=-3000$"):
+            PairSet.universe(-3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_pair_universe_size_formula():
     for n in range(3, 13):
         X = PairSet.universe(n)

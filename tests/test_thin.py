@@ -19,6 +19,7 @@ from circast import (
     thin_witness,
     trivial_relations,
 )
+from circast.thin import _certify
 
 EXPECTED_TRIVIAL_PROFILES = {1: {"12", "13"}, 2: {"12", "23"}, 3: {"13", "23"}}
 
@@ -148,6 +149,27 @@ def test_matching_decomposition_x4():
 def test_matching_decomposition_not_regular():
     with pytest.raises(NotRegular):
         matching_decomposition(PairSet.from_pairs(4, [(1, 2), (2, 1)]))
+
+
+M1 = PairSet.from_pairs(4, [(1, 2), (2, 3), (3, 1)])
+ROW1 = PairSet.from_pairs(4, [(1, 2), (1, 3)])
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ([M1, M1], "overlapping parts"),
+        ([ROW1, PairSet.universe(4) - ROW1], "non-matching part"),
+        ([M1], "does not cover"),
+    ],
+    ids=("overlap", "non_matching", "no_cover"),
+)
+def test_certificate_refuses(parts, message):
+    """The certificate refuses overlapping parts, a disjoint cover of X(4)
+    with a non-matching part, and a partial cover; the non-matching part is
+    caught without a thinness check."""
+    with pytest.raises(RuntimeError, match=message):
+        _certify(PairSet.universe(4), parts)
 
 
 def test_matching_decomposition_postconditions():
