@@ -46,16 +46,12 @@ from .circulant import (
     is_ast_regular,
     is_circulant,
     pair_image,
-    permute_relation,
     permute_triple,
     regularity_stats,
     sym3_image,
-    sym3_inverse,
-    sym3_mul,
 )
 from .core import (
     CircastError,
-    Domain,
     DomainTooSmall,
     IndexPartition,
     Pair,
@@ -75,7 +71,6 @@ from .groups import (
     Permutation,
     agl1,
     cycles_string,
-    is_two_transitive,
     orbit_partition_on_triples,
     parse_cycles,
     shift_invariance_check,

@@ -94,25 +94,12 @@ def sym3_action_obj(action: Optional[dict]) -> Optional[dict]:
     return None if action is None else {SYM3_NAME[g]: [action[i, g] for i in range(len(action) // 6)] for g in SYM3}
 
 
-def sym3_mul(g: Sym3Element, h: Sym3Element) -> Sym3Element:
-    """g followed by h; triples transform by t^(g*h) = (t^g)^h."""
-    return (h[g[0] - 1], h[g[1] - 1], h[g[2] - 1])
-
-
-def sym3_inverse(g: Sym3Element) -> Sym3Element:
-    return permute_triple(IDENTITY, g)
-
-
 def permute_triple(t, g: Sym3Element):
     """Move the value at position k to position g(k)."""
     out = [0, 0, 0]
     for k in range(3):
         out[g[k] - 1] = t[k]
     return tuple(out)
-
-
-def permute_relation(R: TernaryRelation, g: Sym3Element) -> TernaryRelation:
-    return TernaryRelation(R.n, frozenset(permute_triple(t, g) for t in R.triples))
 
 
 def pair_image(n: int, pair: Pair, g: Sym3Element) -> Pair:

@@ -53,7 +53,6 @@ from .core import (
     PairSet,
     TernaryRelation,
     TriplePartition,
-    make_domain,
     strict_int,
 )
 from .groups import GroupSpec, agl1, orbit_partition_on_triples, shift_invariance_check
@@ -143,7 +142,7 @@ def _parse_seconds(text: str) -> float:
 
 
 def cmd_gen_x(args) -> int:
-    X = PairSet.universe(make_domain(strict_int(args.n, "n", INDEX_N_CAP)).n)
+    X = PairSet.universe(strict_int(args.n, "n", INDEX_N_CAP))
     if args.format == "json":
         _emit(X.to_obj())
     else:

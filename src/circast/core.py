@@ -37,15 +37,12 @@ class DomainTooSmall(CircastError, ValueError):
     """Raised for base sets with fewer than three points."""
 
 
-@dataclass(frozen=True)
-class Domain:
-    """The base set {0, ..., n-1}; all arithmetic on points is mod n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise DomainTooSmall(f"base set needs n >= 3, got n={self.n}")
+def make_domain(n: int) -> int:
+    """n, once checked to carry a scheme: the base set {0, ..., n-1}, on
+    whose points all arithmetic is mod n, needs n >= 3."""
+    if n < 3:
+        raise DomainTooSmall(f"base set needs n >= 3, got n={n}")
+    return n
 
 
 # caps on n read from input, checked before anything of size n is built.
@@ -79,15 +76,15 @@ def json_typed(value, kind: type, what: str, items: Optional[type] = None):
     return value
 
 
-make_domain = Domain
-
-
 def pair_capacity(n: int) -> int:
     """|X(n)| = (n-1)(n-2)."""
     return (n - 1) * (n - 2)
 
 
-def in_pair_universe(n: int, pair: Pair) -> bool:
+def in_pair_universe(n: int, pair: tuple) -> bool:
+    """True iff pair is two ints (bools are not) i != j in 1..n-1."""
+    if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not int:
+        return False
     i, j = pair
     return 0 < i < n and 0 < j < n and i != j
 
@@ -131,12 +128,7 @@ class PairSet:
         mask = 0
         for pair in pairs:
             pair = tuple(pair)
-            if (
-                len(pair) != 2
-                or type(pair[0]) is not int
-                or type(pair[1]) is not int
-                or not in_pair_universe(n, pair)
-            ):
+            if not in_pair_universe(n, pair):
                 raise ValueError(f"{pair!r} is not in the pair universe for n={n}")
             mask |= 1 << pair_rank(n, pair)
         return cls(n, mask)
@@ -150,9 +142,7 @@ class PairSet:
         return tuple(pair_unrank(self.n, r) for r in iter_bits(self.mask))
 
     def __contains__(self, pair: object) -> bool:
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            return False
-        if not in_pair_universe(self.n, pair):
+        if not (isinstance(pair, tuple) and in_pair_universe(self.n, pair)):
             return False
         return bool(self.mask >> pair_rank(self.n, pair) & 1)
 
@@ -241,13 +231,12 @@ class TernaryRelation:
         return f"TernaryRelation(n={self.n}, size={len(self.triples)})"
 
 
-def trivial_relations(d: Domain) -> tuple[TernaryRelation, ...]:
+def trivial_relations(n: int) -> tuple[TernaryRelation, ...]:
     """R0..R3: the diagonal and the three 'two coordinates equal' relations.
 
     |R0| = n and |R1| = |R2| = |R3| = n(n-1); together they hold exactly the
     triples with a repeated coordinate.
     """
-    n = d.n
     r0 = frozenset((x, x, x) for x in range(n))
     r1 = frozenset((x, y, y) for x in range(n) for y in range(n) if x != y)
     r2 = frozenset((x, y, x) for x in range(n) for y in range(n) if x != y)
@@ -259,7 +248,7 @@ def verify_trivial(A: "TriplePartition") -> bool:
     """True iff relations 0..3 are exactly the four trivial relations, read
     off the sizes and the table."""
     n, table = A.n, A.table
-    trivial = enumerate(trivial_relations(make_domain(n)))
+    trivial = enumerate(trivial_relations(n))
     return A.sizes[:4] == [n] + [n * (n - 1)] * 3 and all(
         table[(x * n + y) * n + z] == rid for rid, rel in trivial for x, y, z in rel.triples
     )
@@ -373,7 +362,7 @@ class TriplePartition:
     @classmethod
     def from_obj(cls, obj: dict) -> "TriplePartition":
         """Checked and stored as its table; a triple listed twice counts once."""
-        n = make_domain(strict_int(obj["n"], "n")).n
+        n = make_domain(strict_int(obj["n"], "n"))
         entries = json_typed(obj["relations"], list, "relations", dict)
         ids = sorted(strict_int(e["id"], "relation id") for e in entries)
         if ids != list(range(len(entries))):

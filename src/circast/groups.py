@@ -121,15 +121,15 @@ class GroupSpec:
 
 
 def _orbit(G: GroupSpec, start: tuple, table: list, rid) -> int:
-    """The size of the orbit of start, two or more points, under G acting on
-    each coordinate; table, None at tuples in no orbit yet, gets rid at each
-    tuple of the orbit, at the index that reads the tuple in base n."""
-    weights = [G.n**k for k in reversed(range(len(start)))]
+    """The size of the orbit of the triple start under G acting on each
+    coordinate; table, None at triples in no orbit yet, gets rid at each
+    triple (x, y, z) of the orbit, at index x*n*n + y*n + z."""
+    weights = (G.n * G.n, G.n, 1)
     table[sum(map(mul, start, weights))] = rid
     frontier = [start]
     size = 1
     while frontier:
-        image = itemgetter(*frontier.pop())  # a tuple, as it reads two or more
+        image = itemgetter(*frontier.pop())
         for g in G.generators:
             img = image(g.images)
             k = sum(map(mul, img, weights))
@@ -146,7 +146,7 @@ def orbit_partition_on_triples(G: GroupSpec) -> TriplePartition:
     goes into the relation-id table as the orbit is closed."""
     n = G.n
     table = [None] * n**3
-    for rid, rel in enumerate(trivial_relations(make_domain(n))):
+    for rid, rel in enumerate(trivial_relations(n)):
         for x, y, z in rel.triples:
             table[(x * n + y) * n + z] = rid
     sizes = [n] + [n * (n - 1)] * 3
@@ -178,14 +178,6 @@ def agl1(p: int) -> GroupSpec:
     root = _least_primitive_root(p)
     mult = Permutation(tuple(root * x % p for x in range(p)))
     return GroupSpec(p, (shift, mult))
-
-
-def is_two_transitive(G: GroupSpec) -> bool:
-    """True iff G has a single orbit on ordered pairs of distinct points."""
-    n = G.n
-    if n < 2:
-        return False
-    return _orbit(G, (0, 1), [None] * n * n, 0) == n * (n - 1)
 
 
 def shift_invariance_check(A: TriplePartition) -> bool:

@@ -22,9 +22,34 @@ from circast import (
     is_ast_regular,
     make_domain,
     pair_image,
-    permute_relation,
 )
 from circast.core import json_typed, strict_int
+
+
+def sym3_mul(g, h):
+    """g followed by h, Sym(3) elements as image tuples (g(1), g(2), g(3)):
+    the map k -> h(g(k))."""
+    return tuple(h[g[k] - 1] for k in range(3))
+
+
+def permute_relation(R, g):
+    """R with each triple's coordinates moved by g: the value at position k
+    goes to position g(k), so position p holds the value from g^-1(p)."""
+    return TernaryRelation(R.n, frozenset(tuple(t[g.index(p)] for p in (1, 2, 3)) for t in R.triples))
+
+
+def is_two_transitive(G):
+    """True iff the group generated by G's permutations has one orbit on
+    ordered pairs of distinct points: breadth-first search from (0, 1)."""
+    seen, frontier = {(0, 1)}, [(0, 1)]
+    while frontier:
+        x, y = frontier.pop()
+        for g in G.generators:
+            image = (g.images[x], g.images[y])
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return len(seen) == G.n * (G.n - 1)
 
 
 def brute_structure_constant(n, I, J, K, L):
@@ -332,7 +357,7 @@ def reference_triple_partition(obj):
     file order, the relations checked nonempty in id order and their sizes
     against n^3, then every triple looked up in one dict of all the triples.
     Returns (table, relations); raises the reader's errors."""
-    n = make_domain(strict_int(obj["n"], "n")).n
+    n = make_domain(strict_int(obj["n"], "n"))
     entries = json_typed(obj["relations"], list, "relations", dict)
     ids = sorted(strict_int(e["id"], "relation id") for e in entries)
     if ids != list(range(len(entries))):

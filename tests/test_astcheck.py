@@ -21,7 +21,6 @@ from circast import (
     build_ast,
     derived_parameters,
     is_ast_regular,
-    make_domain,
     orbit_partition_on_triples,
     symmetrise,
     sym3_image,
@@ -56,7 +55,7 @@ def test_verify_trivial_accepts_built_scheme():
 
 def test_verify_trivial_rejects_merged_relations():
     n = 4
-    r0, r1, r2, r3 = trivial_relations(make_domain(n))
+    r0, r1, r2, r3 = trivial_relations(n)
     merged = TernaryRelation(n, r1.triples | r2.triples)
     rest = TernaryRelation(n, frozenset(distinct_triples(n)))
     A = TriplePartition(n, (r0, merged, r3, rest))
@@ -65,7 +64,7 @@ def test_verify_trivial_rejects_merged_relations():
 
 def test_verify_trivial_rejects_two_block_partition():
     n = 4
-    r0 = trivial_relations(make_domain(n))[0]
+    r0 = trivial_relations(n)[0]
     everything_else = TernaryRelation(
         n,
         frozenset(
@@ -93,7 +92,7 @@ def test_verify_a1_affine():
 def test_verify_a1_fails_on_shift_orbits():
     # the twelve +1-shift orbits at n=5 cover only one pair difference each
     n = 5
-    rels = list(trivial_relations(make_domain(n)))
+    rels = list(trivial_relations(n))
     seen = set()
     for t in sorted(distinct_triples(n)):
         if t in seen:
@@ -157,21 +156,19 @@ def test_verify_a3_on_trivial_relations():
 
 
 def test_verify_a3_is_a_group_action():
-    from circast import sym3_mul
-
     for A in (coarse_ast(4), affine_ast(5)):
         action = verify_a3(A)
         for rid in range(len(A.relations)):
             for g in SYM3:
                 for h in SYM3:
-                    assert action[(action[(rid, g)], h)] == action[(rid, sym3_mul(g, h))]
+                    assert action[(action[(rid, g)], h)] == action[(rid, oracles.sym3_mul(g, h))]
 
 
 def test_verify_a3_failure_witness():
     # split the distinct triples by first coordinate: permuting coordinates
     # does not preserve the blocks
     n = 4
-    rels = list(trivial_relations(make_domain(n)))
+    rels = list(trivial_relations(n))
     for x in range(n):
         block = {t for t in distinct_triples(n) if t[0] == x}
         rels.append(TernaryRelation(n, frozenset(block)))
@@ -259,7 +256,7 @@ def test_verify_ast_accepts_built_schemes():
 def test_verify_ast_rejects_random_partition():
     rng = random.Random(4242)
     n = 4
-    rels = list(trivial_relations(make_domain(n)))
+    rels = list(trivial_relations(n))
     triples = sorted(distinct_triples(n))
     rng.shuffle(triples)
     half = len(triples) // 2
@@ -277,7 +274,7 @@ def test_verify_ast_reports_a_triple_outside_the_triple_space():
     n = 4
     outside = TernaryRelation(n, frozenset(distinct_triples(n) - {(0, 1, 2)} | {(0, 1, 9)}))
     with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
-        TriplePartition(n, trivial_relations(make_domain(n)) + (outside,))
+        TriplePartition(n, trivial_relations(n) + (outside,))
 
 
 def test_verify_ast_builds_the_relation_id_table_once(monkeypatch, tmp_path):

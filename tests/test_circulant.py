@@ -29,14 +29,10 @@ from circast import (
     extract_partition,
     is_ast_regular,
     is_circulant,
-    make_domain,
     pair_capacity,
-    permute_relation,
     permute_triple,
     regularity_stats,
     sym3_image,
-    sym3_inverse,
-    sym3_mul,
     trivial_relations,
 )
 
@@ -52,17 +48,17 @@ def random_pairset(rng, n):
 def test_sym3_is_a_group_of_order_six():
     assert len(set(SYM3)) == 6
     for g in SYM3:
-        assert sym3_mul(g, IDENTITY) == g == sym3_mul(IDENTITY, g)
-        assert sym3_mul(g, sym3_inverse(g)) == IDENTITY
+        assert oracles.sym3_mul(g, IDENTITY) == g == oracles.sym3_mul(IDENTITY, g)
+        assert any(oracles.sym3_mul(g, h) == IDENTITY for h in SYM3)
         for h in SYM3:
-            assert sym3_mul(g, h) in SYM3
+            assert oracles.sym3_mul(g, h) in SYM3
 
 
 def test_triple_action_matches_multiplication():
     t = (10, 20, 30)
     for g in SYM3:
         for h in SYM3:
-            assert permute_triple(permute_triple(t, g), h) == permute_triple(t, sym3_mul(g, h))
+            assert permute_triple(permute_triple(t, g), h) == permute_triple(t, oracles.sym3_mul(g, h))
 
 
 def test_pair_image_examples():
@@ -82,7 +78,7 @@ def test_sym3_image_composition_group_law():
         I = random_pairset(rng, n)
         for g in SYM3:
             for h in SYM3:
-                assert sym3_image(sym3_image(I, g), h) == sym3_image(I, sym3_mul(g, h))
+                assert sym3_image(sym3_image(I, g), h) == sym3_image(I, oracles.sym3_mul(g, h))
 
 
 def test_braid_relation_on_pairsets():
@@ -102,7 +98,7 @@ def test_permutational_isomorphism():
         I = random_pairset(rng, n)
         R = expand(I)
         for g in SYM3:
-            assert expand(sym3_image(I, g)) == permute_relation(R, g)
+            assert expand(sym3_image(I, g)) == oracles.permute_relation(R, g)
 
 
 # --- expand / extract ----------------------------------------------------------
@@ -150,7 +146,7 @@ def test_expand_of_extract_is_identity_on_circulants():
 
 
 def test_extract_rejects_trivial_and_noncirculant():
-    r1 = trivial_relations(make_domain(4))[1]
+    r1 = trivial_relations(4)[1]
     with pytest.raises(NotNontrivial):
         extract(r1)
     lone = TernaryRelation.from_triples(4, [(0, 1, 2)])
@@ -182,7 +178,7 @@ def test_extract_witness_is_the_least_offending_triple():
 
 
 def test_is_circulant():
-    assert is_circulant(trivial_relations(make_domain(5))[0])
+    assert is_circulant(trivial_relations(5)[0])
     assert not is_circulant(TernaryRelation.from_triples(4, [(0, 1, 2)]))
     n = 3
     omega3 = TernaryRelation.from_triples(
@@ -314,7 +310,7 @@ def test_part_action_composes_like_sym3():
     for idx in range(len(P.parts)):
         for g in SYM3:
             for h in SYM3:
-                assert rep.action[(rep.action[(idx, g)], h)] == rep.action[(idx, sym3_mul(g, h))]
+                assert rep.action[(rep.action[(idx, g)], h)] == rep.action[(idx, oracles.sym3_mul(g, h))]
 
 
 def test_transpose_of_each_part_has_same_valency():

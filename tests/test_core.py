@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+import circast
 from circast import (
     DomainTooSmall,
     IndexPartition,
@@ -19,10 +20,16 @@ from circast.core import in_pair_universe, pair_rank, pair_unrank
 
 
 def test_make_domain():
-    assert make_domain(3).n == 3
-    assert make_domain(10).n == 10
+    assert make_domain(3) == 3
+    assert make_domain(10) == 10
     with pytest.raises(DomainTooSmall):
         make_domain(2)
+
+
+def test_trivial_relations_take_n_and_the_uncalled_names_are_gone():
+    assert [len(rel) for rel in trivial_relations(5)] == [5, 20, 20, 20]
+    for name in ("Domain", "sym3_mul", "sym3_inverse", "permute_relation", "is_two_transitive"):
+        assert not hasattr(circast, name), name
 
 
 def test_triple_partition_needs_a_base_set():
@@ -78,6 +85,15 @@ def test_pairset_validation():
         PairSet(4, 1 << pair_capacity(4))
 
 
+def test_pairset_members_have_int_coordinates():
+    """A pair of floats, strings or bools is no member, as from_pairs takes
+    none of them, and asking does not raise."""
+    X = PairSet.universe(5)
+    assert (1, 2) in X
+    for pair in ((1, 2.5), (1.0, 2.0), ("1", 2), (True, 2)):
+        assert pair not in X, pair
+
+
 def test_pairset_set_operations():
     a = PairSet.from_pairs(5, [(1, 2), (2, 1)])
     b = PairSet.from_pairs(5, [(2, 1), (3, 4)])
@@ -98,12 +114,12 @@ def test_pairset_canonical_iteration_sorted():
 
 
 def test_trivial_relations_sizes_and_contents():
-    r0, r1, r2, r3 = trivial_relations(make_domain(3))
+    r0, r1, r2, r3 = trivial_relations(3)
     assert len(r0) == 3 and len(r1) == 6
-    assert (0, 4, 0) in trivial_relations(make_domain(5))[2]
+    assert (0, 4, 0) in trivial_relations(5)[2]
     # together: exactly the triples with a repeated coordinate
     for n in (3, 4, 6):
-        rels = trivial_relations(make_domain(n))
+        rels = trivial_relations(n)
         union = set()
         total = 0
         for rel in rels:
@@ -123,7 +139,7 @@ def test_trivial_relations_sizes_and_contents():
 
 def test_triple_partition_of_omega3_at_n3():
     n = 3
-    rels = list(trivial_relations(make_domain(n)))
+    rels = list(trivial_relations(n))
     distinct = {
         (x, y, z)
         for x in range(n)
@@ -141,7 +157,7 @@ def test_triple_partition_of_omega3_at_n3():
 def test_triple_partition_validate_rejects_bad_input():
     """The constructor refuses what is not a partition of Omega^3."""
     n = 3
-    rels = list(trivial_relations(make_domain(n)))
+    rels = list(trivial_relations(n))
     # missing the distinct triples: not a cover
     with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
         TriplePartition(n, tuple(rels))
@@ -157,7 +173,7 @@ def test_triple_partition_validate_rejects_bad_input():
     distinct = set(permutations(range(n), 3))
     outside = TernaryRelation(n, frozenset(distinct - {(0, 1, 2)} | {(0, 1, 9)}))
     with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
-        TriplePartition(n, trivial_relations(make_domain(n)) + (outside,))
+        TriplePartition(n, trivial_relations(n) + (outside,))
 
 
 def test_triple_partition_checks_sizes_before_building_the_table(monkeypatch):
@@ -177,7 +193,7 @@ def test_triple_partition_checks_sizes_before_building_the_table(monkeypatch):
 
 def test_triple_partition_from_obj_checks_ids():
     n = 3
-    rels = list(trivial_relations(make_domain(n)))
+    rels = list(trivial_relations(n))
     distinct = TernaryRelation.from_triples(
         n, [t for t in __import__("itertools").permutations(range(n), 3)]
     )
@@ -191,7 +207,7 @@ def test_cached_orbit_leaves_equality_and_hash_alone():
     """A partition stores its table and sizes; the shift orbit and the
     relations are cached views that neither equality nor hashing reads."""
     n = 4
-    rels = trivial_relations(make_domain(n)) + (TernaryRelation(n, frozenset(permutations(range(n), 3))),)
+    rels = trivial_relations(n) + (TernaryRelation(n, frozenset(permutations(range(n), 3))),)
     viewed, fresh = TriplePartition(n, rels), TriplePartition(n, rels)
     assert set(vars(fresh)) == {"n", "table", "sizes"}
     assert viewed.orbit == n and viewed.relations == rels
@@ -229,7 +245,7 @@ def test_serialization_round_trips():
         assert TernaryRelation.from_obj(R.to_obj()) == R
     # partition round trips
     n = 5
-    rels = list(trivial_relations(make_domain(n)))
+    rels = list(trivial_relations(n))
     distinct = {
         t for t in __import__("itertools").permutations(range(n), 3)
     }

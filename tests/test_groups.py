@@ -14,7 +14,6 @@ from circast import (
     cycles_string,
     extract_partition,
     is_ast_regular,
-    is_two_transitive,
     orbit_partition_on_triples,
     parse_cycles,
     shift_invariance_check,
@@ -133,10 +132,10 @@ def test_agl1_rejects_non_primes_and_tiny_primes():
 
 
 def test_is_two_transitive():
-    assert is_two_transitive(agl1(5))
-    assert not is_two_transitive(shift_group(5))
-    assert is_two_transitive(symmetric_group(4))
-    assert not is_two_transitive(dihedral_group(6))
+    assert oracles.is_two_transitive(agl1(5))
+    assert not oracles.is_two_transitive(shift_group(5))
+    assert oracles.is_two_transitive(symmetric_group(4))
+    assert not oracles.is_two_transitive(dihedral_group(6))
 
 
 def test_shift_invariance():
@@ -155,7 +154,7 @@ def test_shift_in_group_implies_circulant_orbits():
 def test_two_transitive_orbit_schemes_verify():
     groups = [symmetric_group(n) for n in range(4, 9)] + [agl1(5), agl1(7)]
     for G in groups:
-        assert is_two_transitive(G)
+        assert oracles.is_two_transitive(G)
         assert verify_ast(orbit_partition_on_triples(G)).ok
 
 

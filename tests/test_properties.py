@@ -44,7 +44,6 @@ from circast import (
     expand,
     expand_partition,
     is_ast_regular,
-    make_domain,
     orbit_partition_on_triples,
     pair_image,
     permute_triple,
@@ -491,6 +490,30 @@ def test_listing_matches_the_plain_listing(n, fixed, removed):
         assert (listed, clock.count) == _plain_listing(n, r, allowed, fixed)
 
 
+def test_no_odd_valency_at_even_n_at_the_root():
+    """Each part of an AST-regular partition holds r pairs in each row, column
+    and difference (j - i) mod n, so the differences of a part sum to
+    r*n(n-1)/2, and to 0 mod n as sum(j) - sum(i) = 0: at even n, r is even.
+    At the root, in both modes, the listing yields nothing for odd r."""
+    for n in (4, 6, 8, 10):
+        uni = search_module._universe(n)
+        for r in range(1, n - 1, 2):
+            for fixed in (False, True):
+                assert list(uni.regular_subsets(r, uni.full, fixed)) == []
+
+
+@PROPERTY
+@given(st.sampled_from([4, 6, 8]), st.booleans(), st.lists(st.integers(0, 10**4), max_size=8))
+def test_no_odd_valency_at_even_n(n, fixed, removed):
+    """The same on X(n) less a few random pairs."""
+    uni = search_module._universe(n)
+    allowed = uni.full
+    for q in removed:
+        allowed &= ~(1 << q % pair_capacity(n))
+    for r in range(1, n - 1, 2):
+        assert list(uni.regular_subsets(r, allowed, fixed)) == []
+
+
 def test_root_listing_matches_reference_orbits():
     """Nothing covered, every valency: the whole root listing for n = 3..7
     and its `--symmetric` listing."""
@@ -623,7 +646,7 @@ def test_checks_match_references_when_the_shift_moves_a_relation(n):
     distinct = [t for t in product(range(n), repeat=3) if len(set(t)) == 3]
     A = TriplePartition(
         n,
-        trivial_relations(make_domain(n))
+        trivial_relations(n)
         + tuple(
             TernaryRelation(n, frozenset(t for t in distinct if (0 in t) == through_0))
             for through_0 in (True, False)
@@ -652,7 +675,7 @@ def test_verify_a2_raises_on_a_missing_triple():
     constructor refuses the relations, so neither A2 nor A3 reads a table
     with a hole in it."""
     P = oracles.multiplicative_orbit_partition(5)
-    trivial = trivial_relations(make_domain(5))
+    trivial = trivial_relations(5)
     with pytest.raises(ValueError, match="^relations do not partition the triple space$"):
         TriplePartition(5, trivial + tuple(expand(part) for part in P.parts[:-1]))
 

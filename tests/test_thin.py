@@ -10,7 +10,6 @@ from circast import (
     SWAP12,
     TernaryRelation,
     expand,
-    make_domain,
     matching_decomposition,
     regularity_stats,
     sym3_image,
@@ -26,7 +25,7 @@ EXPECTED_TRIVIAL_PROFILES = {1: {"12", "13"}, 2: {"12", "23"}, 3: {"13", "23"}}
 
 def test_trivial_relation_profiles():
     for n in range(3, 11):
-        rels = trivial_relations(make_domain(n))
+        rels = trivial_relations(n)
         assert thin_profile(rels[0]) == frozenset()
         for rid, expected in EXPECTED_TRIVIAL_PROFILES.items():
             assert thin_profile(rels[rid]) == frozenset(expected), (n, rid)
@@ -37,7 +36,7 @@ def test_thin_relations_have_n_times_n_minus_1_triples():
     small = TernaryRelation.from_triples(5, [(0, 1, 2)])
     assert thin_profile(small) == frozenset()
     n = 5
-    r1 = trivial_relations(make_domain(n))[1]
+    r1 = trivial_relations(n)[1]
     assert len(r1) == n * (n - 1) and thin_profile(r1)
 
 
@@ -69,7 +68,7 @@ def test_affine_parts_are_thin_for_all_three_pairs():
 
 
 def test_thin_witness_r2_is_constant_zero():
-    r2 = trivial_relations(make_domain(5))[2]
+    r2 = trivial_relations(5)[2]
     w = thin_witness(r2, "12")
     assert w.rho == {1: 0, 2: 0, 3: 0, 4: 0}
     assert not w.derangement
@@ -83,7 +82,7 @@ def test_thin_witness_affine_part():
 
 
 def test_thin_witness_not_thin():
-    r1 = trivial_relations(make_domain(5))[1]
+    r1 = trivial_relations(5)[1]
     with pytest.raises(NotThin):
         thin_witness(r1, "23")
     with pytest.raises(ValueError):
@@ -103,7 +102,7 @@ def test_thin_witness_rejects_non_circulant():
 
 def test_thin_witness_round_trip():
     n = 6
-    rels = trivial_relations(make_domain(n))
+    rels = trivial_relations(n)
     cases = [(rels[rid], ab) for rid, profile in EXPECTED_TRIVIAL_PROFILES.items() for ab in profile]
     part = matching_decomposition(PairSet.universe(n))[0]
     cases += [(expand(part), ab) for ab in thin_profile(expand(part))]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import circast.cli
 import circast.thin
-from circast import PairSet, TernaryRelation, TriplePartition, make_domain, trivial_relations
+from circast import PairSet, TernaryRelation, TriplePartition, trivial_relations
 
 _SPEC = importlib.util.spec_from_file_location("tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
 tracing = importlib.util.module_from_spec(_SPEC)
@@ -40,7 +40,7 @@ def test_the_partition_check_runs_under_the_tracer():
     """The constructor's check and table build run through the wrapped
     classmethods, once each, and the tracer leaves the class as it was."""
     n = 3
-    rels = trivial_relations(make_domain(n)) + (TernaryRelation(n, frozenset(permutations(range(n), 3))),)
+    rels = trivial_relations(n) + (TernaryRelation(n, frozenset(permutations(range(n), 3))),)
     raw = dict(vars(TriplePartition))
     tracer = tracing.Tracer()
     tracer.install()
