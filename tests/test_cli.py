@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -685,6 +686,170 @@ def test_table_format_negatives(tmp_path, coarse5_files):
     code, out = run(["verify-ast", "--in", write_json(tmp_path, "merged.json", ast)])
     assert code == 1
     assert out == "AST: failed ([{'axiom': 'trivial', 'reason': 'ids 0..3 are not R0..R3'}])\n"
+
+
+_NOT_REGULAR = "{'condition': 'a', 'part': 0, 'witness': ['row', 2, 0]}"
+_NOT_REGULAR_JSON = """{
+  "action": null,
+  "constants": null,
+  "failure": {
+    "condition": "a",
+    "part": 0,
+    "witness": [
+      "row",
+      2,
+      0
+    ]
+  },
+  "ok": false,
+  "parts": null
+}
+"""
+
+
+# argv with {name} for an input file, exit code, stdout, stderr, and the object
+# whose json.dumps(indent=2, sort_keys=True) text the --out file must hold
+TABLE_CASES = {
+    "gen-x": (
+        ["gen-x", "--n", "4"],
+        0,
+        "pair universe for n=4: 6 pairs\n  (1, 2)\n  (1, 3)\n  (2, 1)\n  (2, 3)\n  (3, 1)\n  (3, 2)\n",
+        "",
+        None,
+    ),
+    "verify-partition": (["verify-partition", "--in", "{p5}"], 0, "AST-regular: yes (1 parts, n_I = [3])\n", "", None),
+    "verify-partition-no": (
+        ["verify-partition", "--in", "{single}"],
+        1,
+        f"AST-regular: no ({_NOT_REGULAR})\n",
+        "",
+        None,
+    ),
+    "build": (["build", "--in", "{p5}"], 0, "scheme with 5 relations, sizes [5, 20, 20, 20, 60]\n", "", None),
+    "build-out": (
+        ["build", "--in", "{p5}", "--out", "{out}"],
+        0,
+        "scheme with 5 relations, sizes [5, 20, 20, 20, 60]\n",
+        "",
+        "scheme",
+    ),
+    "build-not-regular": (
+        ["build", "--in", "{single}"],
+        1,
+        _NOT_REGULAR_JSON,
+        f"not AST-regular: {_NOT_REGULAR}\n",
+        None,
+    ),
+    "build-not-regular-out": (
+        ["build", "--in", "{single}", "--out", "{out}"],
+        1,
+        _NOT_REGULAR_JSON,
+        f"not AST-regular: {_NOT_REGULAR}\n",
+        None,
+    ),
+    "extract": (["extract", "--in", "{a5}"], 0, "index partition with 1 parts over n=5\n", "", None),
+    "extract-out": (
+        ["extract", "--in", "{a5}", "--out", "{out}"],
+        0,
+        "index partition with 1 parts over n=5\n",
+        "",
+        "partition",
+    ),
+    "verify-ast": (["verify-ast", "--in", "{a5}"], 0, "AST: ok (m=4, symmetric=True)\n", "", None),
+    "thin-partition": (
+        ["thin", "--in", "{a5}"],
+        0,
+        "relation 0: thin for nothing\nrelation 1: thin for ['12', '13']\nrelation 2: thin for ['12', '23']\n"
+        "relation 3: thin for ['13', '23']\nrelation 4: thin for nothing\n",
+        "",
+        None,
+    ),
+    "thin-relation": (["thin", "--in", "{rel}"], 0, "relation: thin for ['12', '13']\n", "", None),
+    "decompose": (
+        ["decompose", "--in", "{x4}"],
+        0,
+        "2 perfect matchings:\n  [(1, 2), (2, 3), (3, 1)]  thin for ['12', '13']\n"
+        "  [(1, 3), (2, 1), (3, 2)]  thin for ['12', '13']\n",
+        "",
+        None,
+    ),
+    "decompose-irregular": (
+        ["decompose", "--in", "{irregular}"],
+        1,
+        "",
+        "error: index set is not regular: ('row', 3, 0)\n",
+        None,
+    ),
+    "orbits-agl": (
+        ["orbits", "--agl", "5"],
+        0,
+        "3 nontrivial orbits, sizes [20, 20, 20]\ncirculant: True; AST: True\n",
+        "",
+        None,
+    ),
+    "orbits-group": (
+        ["orbits", "--group", "{group}"],
+        0,
+        "1 nontrivial orbits, sizes [24]\ncirculant: True; AST: True\n",
+        "",
+        None,
+    ),
+    "search": (
+        ["search", "--n", "5"],
+        0,
+        "2 partition(s), complete, 2 nodes\n  parts=1 n_I=[3]\n  parts=3 n_I=[1, 1, 1]\n",
+        "",
+        None,
+    ),
+    "symmetrise": (
+        ["symmetrise", "--in", "{pair}"],
+        0,
+        "closure has 6 pairs: [(1, 2), (1, 4), (2, 1), (3, 4), (4, 1), (4, 3)]\n",
+        "",
+        None,
+    ),
+    "params": (["params", "--in", "{a5}"], 0, "relation 4: n1=3 n2=3 n3=3\n", "", None),
+    "params-not-scheme": (
+        ["params", "--in", "{two}"],
+        1,
+        "",
+        "not an AST: [{'axiom': 'trivial', 'reason': 'ids 0..3 are not R0..R3'}]\n",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_format_bytes(tmp_path, coarse5_files, case, capsys):
+    """Every command in the table format: exit code, stdout, stderr and the
+    --out file, byte for byte."""
+    argv, code, stdout, stderr, written = TABLE_CASES[case]
+    P = IndexPartition(5, (PairSet.universe(5),))
+    singletons = IndexPartition(4, tuple(PairSet.from_pairs(4, [p]) for p in PairSet.universe(4)))
+    fibres = [[x, y, y] for x, y in product(range(4), repeat=2) if x != y]
+    rest = [list(t) for t in product(range(3), repeat=3) if not t[0] == t[1] == t[2]]
+    paths = {
+        "p5": coarse5_files[0],
+        "a5": coarse5_files[1],
+        "single": write_json(tmp_path, "single.json", singletons.to_obj()),
+        "rel": write_json(tmp_path, "rel.json", {"n": 4, "triples": fibres}),
+        "x4": write_json(tmp_path, "x4.json", PairSet.universe(4).to_obj()),
+        "irregular": write_json(tmp_path, "irr.json", PairSet.from_pairs(4, [(1, 2), (2, 1)]).to_obj()),
+        "group": write_json(tmp_path, "g.json", {"n": 4, "generators": ["(0 1 2 3)", "(0 1)"]}),
+        "pair": write_json(tmp_path, "s.json", {"n": 5, "pairs": [[1, 2]]}),
+        "two": write_json(
+            tmp_path,
+            "two.json",
+            {"n": 3, "relations": [{"id": 0, "triples": [[x, x, x] for x in range(3)]}, {"id": 1, "triples": rest}]},
+        ),
+        "out": str(tmp_path / "out.json"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == code
+    assert capsys.readouterr() == (stdout, stderr)
+    objects = {"scheme": build_ast(P).to_obj(), "partition": P.to_obj()}
+    out = tmp_path / "out.json"
+    expected = None if written is None else json.dumps(objects[written], indent=2, sort_keys=True) + "\n"
+    assert (out.read_text(encoding="utf-8") if out.exists() else None) == expected
 
 
 def _parity_corpus(tmp_path, partition_path, ast_path):
