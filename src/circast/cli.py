@@ -19,9 +19,14 @@ every later call in the process; `search --jobs N` forks its workers, so no
 process pool module is ever imported.
 
 Exit codes: 0 success, 1 verification-negative, 2 usage or input error.
-Reports go to stdout or the --out file (JSON with --format=json), written in
-pieces of at most ROWS list items with the bytes of json.dumps(indent=2,
-sort_keys=True); diagnostics go to stderr.
+Each command returns (exit code, report, lines): `report()` makes the JSON
+object and `lines` yields the table text, both lazily. `main` alone writes
+them: the JSON to the --out file, or to stdout, under --format=json or --out,
+in pieces of at most ROWS list items with the bytes of json.dumps(indent=2,
+sort_keys=True); the lines to stdout under --format=table. Two verdicts write
+their own streams and return no report: `build` on a partition that is not
+AST-regular prints its JSON report in either format, `params` on a triple
+partition that is not a scheme only a diagnostic. Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -141,68 +146,47 @@ def _parse_seconds(text: str) -> float:
     return float(text[:-1] if text.endswith("s") else text)
 
 
-def cmd_gen_x(args) -> int:
+def cmd_gen_x(args) -> tuple:
     X = PairSet.universe(strict_int(args.n, "n", INDEX_N_CAP))
-    if args.format == "json":
-        _emit(X.to_obj())
-    else:
-        print(f"pair universe for n={args.n}: {len(X)} pairs")
-        for (i, j) in X:
-            print(f"  ({i}, {j})")
-    return 0
+    pairs = (f"  ({i}, {j})" for universe in [X] for (i, j) in universe)
+    return 0, X.to_obj, chain([f"pair universe for n={args.n}: {len(X)} pairs"], pairs)
 
 
-def cmd_verify_partition(args) -> int:
+def cmd_verify_partition(args) -> tuple:
     P = IndexPartition.from_obj(_load(args.infile))
     report = is_ast_regular(P)
-    if args.format == "json":
-        _emit(report.to_obj())
+    if report.ok:
+        line = f"AST-regular: yes ({len(P.parts)} parts, n_I = {[s.n_I for s in report.part_stats]})"
     else:
-        if report.ok:
-            valencies = [s.n_I for s in report.part_stats]
-            print(f"AST-regular: yes ({len(P.parts)} parts, n_I = {valencies})")
-        else:
-            print(f"AST-regular: no ({report.failure})")
-    return 0 if report.ok else 1
+        line = f"AST-regular: no ({report.failure})"
+    return 0 if report.ok else 1, report.to_obj, [line]
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> tuple:
     P = IndexPartition.from_obj(_load(args.infile))
     strict_int(P.n, "n", TRIPLE_N_CAP)  # the scheme holds all n^3 triples
     try:
         A = build_ast(P)
-    except NotASTRegular as exc:
+    except NotASTRegular as exc:  # the report goes to stdout in either format
         _emit(exc.report.to_obj())
         print(f"not AST-regular: {exc.report.failure}", file=sys.stderr)
-        return 1
-    if args.format == "json" or args.out:
-        _emit(A.to_obj(), args.out)
-    if args.format != "json":
-        print(f"scheme with {len(A.sizes)} relations, sizes {A.sizes}")
-    return 0
+        return 1, None, ()
+    return 0, A.to_obj, [f"scheme with {len(A.sizes)} relations, sizes {A.sizes}"]
 
 
-def cmd_extract(args) -> int:
-    A = TriplePartition.from_obj(_load(args.infile))
-    P = extract_partition(A)
-    if args.format == "json" or args.out:
-        _emit(P.to_obj(), args.out)
-    if args.format != "json":
-        print(f"index partition with {len(P.parts)} parts over n={P.n}")
-    return 0
+def cmd_extract(args) -> tuple:
+    P = extract_partition(TriplePartition.from_obj(_load(args.infile)))
+    return 0, P.to_obj, [f"index partition with {len(P.parts)} parts over n={P.n}"]
 
 
-def cmd_verify_ast(args) -> int:
+def cmd_verify_ast(args) -> tuple:
     A = TriplePartition.from_obj(_load(args.infile))
     report = verify_ast(A)
-    if args.format == "json":
-        _emit(report.to_obj())
+    if report.ok:
+        line = f"AST: ok (m={A.m}, symmetric={report.symmetric})"
     else:
-        if report.ok:
-            print(f"AST: ok (m={A.m}, symmetric={report.symmetric})")
-        else:
-            print(f"AST: failed ({[f.to_obj() for f in report.failures]})")
-    return 0 if report.ok else 1
+        line = f"AST: failed ({[f.to_obj() for f in report.failures]})"
+    return 0 if report.ok else 1, report.to_obj, [line]
 
 
 def _thin_entry(rid, rel) -> dict:
@@ -212,41 +196,31 @@ def _thin_entry(rid, rel) -> dict:
     return {"id": rid, "profile": profile, "witnesses": witnesses}
 
 
-def cmd_thin(args) -> int:
+def cmd_thin(args) -> tuple:
     obj = _load(args.infile)
     if "relations" in obj:
         A = TriplePartition.from_obj(obj)
-        entries = [_thin_entry(rid, rel) for rid, rel in enumerate(A.relations)]
-        n = A.n
+        n, labelled = A.n, enumerate(A.relations)
     elif "triples" in obj:
         rel = TernaryRelation.from_obj(obj)
-        entries = [_thin_entry(None, rel)]
-        n = rel.n
+        n, labelled = rel.n, [(None, rel)]
     else:
         raise ValueError("input must be a relation or a triple partition")
-    if args.format == "json":
-        _emit({"n": n, "relations": entries})
-    else:
-        for e in entries:
-            label = "relation" if e["id"] is None else f"relation {e['id']}"
-            print(f"{label}: thin for {e['profile'] or 'nothing'}")
-    return 0
+    entries = [_thin_entry(rid, rel) for rid, rel in labelled]
+    lines = (
+        ("relation" if e["id"] is None else f"relation {e['id']}") + f": thin for {e['profile'] or 'nothing'}"
+        for e in entries
+    )
+    return 0, lambda: {"n": n, "relations": entries}, lines
 
 
-def cmd_decompose(args) -> int:
-    I = PairSet.from_obj(_load(args.infile))
-    parts = matching_decomposition(I)
-    if args.format == "json":
-        _emit([part.to_obj() for part in parts])
-    else:
-        print(f"{len(parts)} perfect matchings:")
-        for part in parts:
-            profile = sorted(thin_profile(expand(part)))
-            print(f"  {list(part.pairs())}  thin for {profile}")
-    return 0
+def cmd_decompose(args) -> tuple:
+    parts = matching_decomposition(PairSet.from_obj(_load(args.infile)))
+    lines = (f"  {list(part.pairs())}  thin for {sorted(thin_profile(expand(part)))}" for part in parts)
+    return 0, lambda: [part.to_obj() for part in parts], chain([f"{len(parts)} perfect matchings:"], lines)
 
 
-def cmd_orbits(args) -> int:
+def cmd_orbits(args) -> tuple:
     if args.agl is not None:
         G = agl1(strict_int(args.agl, "p", TRIPLE_N_CAP))
     else:
@@ -254,16 +228,12 @@ def cmd_orbits(args) -> int:
     A = orbit_partition_on_triples(G)
     circulant = shift_invariance_check(A)
     ast_ok = verify_ast(A).ok
-    if args.format == "json":
-        _emit({"partition": A.to_obj(), "circulant": circulant, "ast_ok": ast_ok})
-    else:
-        sizes = A.sizes[4:]
-        print(f"{len(sizes)} nontrivial orbits, sizes {sizes}")
-        print(f"circulant: {circulant}; AST: {ast_ok}")
-    return 0
+    sizes = A.sizes[4:]
+    lines = [f"{len(sizes)} nontrivial orbits, sizes {sizes}", f"circulant: {circulant}; AST: {ast_ok}"]
+    return 0, lambda: {"partition": A.to_obj(), "circulant": circulant, "ast_ok": ast_ok}, lines
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> tuple:
     config = SearchConfig(
         n=strict_int(args.n, "n", SEARCH_N_CAP),
         max_nI=args.max_ni,
@@ -274,40 +244,24 @@ def cmd_search(args) -> int:
         time_budget=None if args.timeout is None else _parse_seconds(args.timeout),
     )
     result = search_ast_regular(config, jobs=args.jobs)
-    if args.format == "json":
-        _emit(result.to_obj())
-    else:
-        state = "complete" if result.complete else "partial (budget exceeded)"
-        print(f"{len(result.hits)} partition(s), {state}, {result.nodes} nodes")
-        for hit in result.hits:
-            valencies = [s.n_I for s in hit.report.part_stats]
-            print(f"  parts={len(hit.partition.parts)} n_I={valencies}")
-    return 0
+    state = "complete" if result.complete else "partial (budget exceeded)"
+    hits = (f"  parts={len(h.partition.parts)} n_I={[s.n_I for s in h.report.part_stats]}" for h in result.hits)
+    return 0, result.to_obj, chain([f"{len(result.hits)} partition(s), {state}, {result.nodes} nodes"], hits)
 
 
-def cmd_symmetrise(args) -> int:
-    I = PairSet.from_obj(_load(args.infile))
-    closed = symmetrise(I)
-    if args.format == "json":
-        _emit(closed.to_obj())
-    else:
-        print(f"closure has {len(closed)} pairs: {list(closed.pairs())}")
-    return 0
+def cmd_symmetrise(args) -> tuple:
+    closed = symmetrise(PairSet.from_obj(_load(args.infile)))
+    return 0, closed.to_obj, (f"closure has {len(c)} pairs: {list(c)}" for c in [closed])
 
 
-def cmd_params(args) -> int:
-    A = TriplePartition.from_obj(_load(args.infile))
-    report = verify_ast(A)
+def cmd_params(args) -> tuple:
+    report = verify_ast(TriplePartition.from_obj(_load(args.infile)))
     if not report.ok:
         print(f"not an AST: {[f.to_obj() for f in report.failures]}", file=sys.stderr)
-        return 1
+        return 1, None, ()
     tensor = report.tensor
-    if args.format == "json":
-        _emit(tensor.to_obj()["marginals"])
-    else:
-        for rid in sorted(tensor.n3):
-            print(f"relation {rid}: n1={tensor.n1[rid]} n2={tensor.n2[rid]} n3={tensor.n3[rid]}")
-    return 0
+    lines = (f"relation {r}: n1={tensor.n1[r]} n2={tensor.n2[r]} n3={tensor.n3[r]}" for r in sorted(tensor.n3))
+    return 0, lambda: tensor.to_obj()["marginals"], lines
 
 
 _IN = ("--in", {"dest": "infile", "required": True})
@@ -368,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_arguments(p, arguments)
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, out=None)
     return parser
 
 
@@ -378,7 +332,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, report, lines = args.func(args)
+        if report and (args.format == "json" or args.out):
+            _emit(report(), args.out)
+        if args.format == "table":
+            for line in lines:
+                print(line)
+        return code
     except _NEGATIVE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

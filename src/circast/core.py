@@ -89,6 +89,11 @@ def in_pair_universe(n: int, pair: tuple) -> bool:
     return 0 < i < n and 0 < j < n and i != j
 
 
+def in_triple_space(n: int, triple: tuple) -> bool:
+    """True iff triple is three ints (bools are not) in 0..n-1."""
+    return len(triple) == 3 and all(type(x) is int and 0 <= x < n for x in triple)
+
+
 def pair_rank(n: int, pair: Pair) -> int:
     """Lexicographic rank of a pair within X(n)."""
     i, j = pair
@@ -192,27 +197,17 @@ class TernaryRelation:
         make_domain(n)  # before any triple is read against 0..n-1
         out = set()
         for t in triples:
-            try:
-                x, y, z = t
-            except (TypeError, ValueError):
-                raise ValueError(f"{t!r} is not a triple over 0..{n - 1}") from None
-            if not (
-                type(x) is int
-                and type(y) is int
-                and type(z) is int
-                and 0 <= x < n
-                and 0 <= y < n
-                and 0 <= z < n
-            ):
+            triple = tuple(t) if isinstance(t, (tuple, list)) else ()
+            if not in_triple_space(n, triple):
                 raise ValueError(f"{t!r} is not a triple over 0..{n - 1}")
-            out.add((x, y, z))
+            out.add(triple)
         return cls(n, frozenset(out))
 
     def sorted_triples(self) -> tuple[Triple, ...]:
         return tuple(sorted(self.triples))
 
     def __contains__(self, t: object) -> bool:
-        return t in self.triples
+        return isinstance(t, tuple) and in_triple_space(self.n, t) and t in self.triples
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self.sorted_triples())

@@ -15,6 +15,13 @@ re-verified from scratch through the public regularity test and the axiom
 checker before it is reported, so the output is sound by certification rather
 than by trust in the pruning.
 
+At even n the listing yields nothing at odd valency r, as every part of an
+AST-regular partition has even valency there: its r pairs per difference
+(j - i) mod n sum to r*n(n-1)/2 = r*n/2 mod n, and to 0 mod n because the
+pairs per row and per column make the sums of j and of i equal. For r = 1
+this is Hall and Paige's theorem that a cyclic group of even order has no
+complete mapping.
+
 The time budget is polled at every step of the candidate listing, the root
 listing included; once it has passed the search unwinds and reports what it
 found with the completeness flag cleared.
@@ -46,7 +53,7 @@ from .circulant import (
     pair_bins,
     sym3_rank_maps,
 )
-from .core import IndexPartition, PairSet, pair_capacity, pair_unrank
+from .core import IndexPartition, PairSet, make_domain, pair_capacity, pair_unrank
 
 
 # each worker is a forked process that lists the whole root, so more is a typo
@@ -69,8 +76,7 @@ class SearchConfig:
     time_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"search needs n >= 3, got n={self.n}")
+        make_domain(self.n)
         if self.dedupe not in ("none", "multiplier"):
             raise ValueError(f"dedupe must be 'none' or 'multiplier', got {self.dedupe!r}")
         if self.limit is not None and self.limit < 0:

@@ -852,6 +852,20 @@ def test_table_format_bytes(tmp_path, coarse5_files, case, capsys):
     assert (out.read_text(encoding="utf-8") if out.exists() else None) == expected
 
 
+def test_each_format_computes_only_its_own_output(tmp_path, coarse5_files, monkeypatch):
+    """A JSON run of decompose reads no thin profile for its table, and a
+    table run of build without --out makes no JSON object of the scheme."""
+    profiles, objects = [], []
+    monkeypatch.setattr(cli_module, "thin_profile", lambda R: profiles.append(R) or frozenset())
+    to_obj = TriplePartition.to_obj
+    monkeypatch.setattr(TriplePartition, "to_obj", lambda A: objects.append(A) or to_obj(A))
+    x4 = write_json(tmp_path, "x4.json", PairSet.universe(4).to_obj())
+    assert run(["decompose", "--in", x4, "--format", "json"])[0] == 0 and profiles == []
+    assert run(["build", "--in", coarse5_files[0]])[0] == 0 and objects == []
+    assert run(["decompose", "--in", x4])[0] == 0 and len(profiles) == 2
+    assert run(["build", "--in", coarse5_files[0], "--out", str(tmp_path / "a.json")])[0] == 0 and len(objects) == 1
+
+
 def _parity_corpus(tmp_path, partition_path, ast_path):
     pairs = write_json(tmp_path, "x4.json", PairSet.universe(4).to_obj())
     group = write_json(tmp_path, "g.json", {"n": 4, "generators": ["(0 1 2 3)", "(0 1)"]})

@@ -94,6 +94,22 @@ def test_pairset_members_have_int_coordinates():
         assert pair not in X, pair
 
 
+def test_relation_members_are_what_from_triples_takes():
+    """A triple is a member only if from_triples would take it: a float, a
+    bool or a list is no member, and asking does not raise."""
+    R0 = trivial_relations(4)[0]
+    assert (0, 0, 0) in R0 and (3, 3, 3) in R0
+    for t in ((0.0, 0, 0), (True, True, True), [0, 0, 0], (0, 0), (0, 0, 0, 0), (4, 4, 4), (-1, -1, -1), "000", None):
+        assert t not in R0, t
+        if isinstance(t, tuple):
+            with pytest.raises(ValueError, match="is not a triple over 0..3"):
+                TernaryRelation.from_triples(4, [t])
+    assert TernaryRelation.from_triples(4, [[0, 0, 0], (1, 1, 1)]).triples == {(0, 0, 0), (1, 1, 1)}
+    for t in (5, "012", {0: 1, 1: 1, 2: 1}, None):
+        with pytest.raises(ValueError, match="is not a triple over 0..3"):
+            TernaryRelation.from_triples(4, [t])
+
+
 def test_pairset_set_operations():
     a = PairSet.from_pairs(5, [(1, 2), (2, 1)])
     b = PairSet.from_pairs(5, [(2, 1), (3, 4)])

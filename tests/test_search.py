@@ -14,6 +14,7 @@ import oracles
 from circast import (
     IDENTITY,
     SYM3,
+    DomainTooSmall,
     IndexPartition,
     PairSet,
     SearchConfig,
@@ -227,7 +228,7 @@ def test_listed_images_are_the_index_map_images():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainTooSmall, match="^base set needs n >= 3, got n=2$"):
         SearchConfig(2)
     with pytest.raises(ValueError):
         SearchConfig(5, dedupe="frobnicate")
