@@ -16,7 +16,11 @@ Every capability is a subcommand over the JSON file formats of the library:
 
 The parser of every command is built on the first `main` call and reused by
 every later call in the process; `search --jobs N` forks its workers, so no
-process pool module is ever imported.
+process pool module is ever imported. `main` runs each command with the
+cyclic garbage collector off and gives the caller's setting back on every way
+out: the commands make almost no reference cycles, so the collector's passes
+over the bulk-built JSON lists, id tables and triples would free nothing, and
+the few cycles left wait for the caller's next collection.
 
 Exit codes: 0 success, 1 verification-negative, 2 usage or input error.
 Each command returns (exit code, report, lines): `report()` makes the JSON
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -189,8 +194,7 @@ def cmd_verify_ast(args) -> tuple:
     return 0 if report.ok else 1, report.to_obj, [line]
 
 
-def _thin_entry(rid, rel) -> dict:
-    profile = sorted(thin_profile(rel))
+def _thin_entry(rid, rel, profile) -> dict:
     closed = bool(profile) and is_circulant(rel)
     witnesses = {ab: _read_witness(rel, ab).to_obj() if closed else None for ab in profile}
     return {"id": rid, "profile": profile, "witnesses": witnesses}
@@ -200,18 +204,16 @@ def cmd_thin(args) -> tuple:
     obj = _load(args.infile)
     if "relations" in obj:
         A = TriplePartition.from_obj(obj)
+        del obj  # not held while the relations view is built
         n, labelled = A.n, enumerate(A.relations)
     elif "triples" in obj:
         rel = TernaryRelation.from_obj(obj)
         n, labelled = rel.n, [(None, rel)]
     else:
         raise ValueError("input must be a relation or a triple partition")
-    entries = [_thin_entry(rid, rel) for rid, rel in labelled]
-    lines = (
-        ("relation" if e["id"] is None else f"relation {e['id']}") + f": thin for {e['profile'] or 'nothing'}"
-        for e in entries
-    )
-    return 0, lambda: {"n": n, "relations": entries}, lines
+    rows = [(rid, rel, sorted(thin_profile(rel))) for rid, rel in labelled]
+    lines = (("relation" if rid is None else f"relation {rid}") + f": thin for {p or 'nothing'}" for rid, _, p in rows)
+    return 0, lambda: {"n": n, "relations": [_thin_entry(*entry) for entry in rows]}, lines
 
 
 def cmd_decompose(args) -> tuple:
@@ -331,6 +333,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    enabled = gc.isenabled()
+    gc.disable()  # the module docstring says why
     try:
         code, report, lines = args.func(args)
         if report and (args.format == "json" or args.out):
@@ -345,6 +349,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: input has no key {exc}" if isinstance(exc, KeyError) else f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

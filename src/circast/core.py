@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Optional
 
 Pair = tuple[int, int]
@@ -241,25 +241,34 @@ def trivial_relations(n: int) -> tuple[TernaryRelation, ...]:
 
 def verify_trivial(A: "TriplePartition") -> bool:
     """True iff relations 0..3 are exactly the four trivial relations, read
-    off the sizes and the table."""
+    off the sizes and the table cells (x, y, y), (x, y, x) and (x, x, y)."""
     n, table = A.n, A.table
-    trivial = enumerate(trivial_relations(n))
     return A.sizes[:4] == [n] + [n * (n - 1)] * 3 and all(
-        table[(x * n + y) * n + z] == rid for rid, rel in trivial for x, y, z in rel.triples
+        (table[(x * n + y) * n + y], table[(x * n + y) * n + x], table[(x * n + x) * n + y])
+        == ((0, 0, 0) if x == y else (1, 2, 3))
+        for x, y in product(range(n), repeat=2)
     )
 
 
+def _id_table(size: int, flats: list) -> list:
+    """A table of size cells, cell i the position in flats of the last list holding i, else None."""
+    table = [None] * size
+    for rid, flat in enumerate(flats):
+        any(map(table.__setitem__, flat, repeat(rid)))  # __setitem__ returns None
+    return table
+
+
 def _flat_indices(n: int, triples) -> list:
-    """The index x*n*n + y*n + z of each triple, once C-level passes find ints
-    in 0..n-1 only; else from_triples names the first bad triple."""
+    """Each triple's index x*n*n + y*n + z, once C-level passes find ints in
+    0..n-1 only (bytes() takes 0..255); else from_triples names the bad one."""
     nn = n * n
     try:
         values = list(chain.from_iterable(triples))
-        if set(map(type, values)) <= {int} and 0 <= min(values, default=0) and max(values, default=0) < n:
+        if set(map(type, values)) <= {int} and not bytes(values).translate(None, bytes(range(256))[:n]):
             return [x * nn + y * n + z for x, y, z in triples]
     except (TypeError, ValueError):
         pass
-    return _flat_indices(n, TernaryRelation.from_triples(n, triples).triples)
+    return [x * nn + y * n + z for x, y, z in TernaryRelation.from_triples(n, triples).triples]
 
 
 @dataclass(frozen=True, init=False)
@@ -298,26 +307,23 @@ class TriplePartition:
     @classmethod
     def validate(cls, n: int, sizes: list, build) -> list:
         """build(), the table of relations of these sizes, once none is empty
-        and the sizes sum to n^3, so that a KeyError from build() on a triple
-        in no relation means an overlap or a stray triple. Nothing of size
-        n^3 is built for relations whose sizes fail."""
+        and the sizes sum to n^3, so that a None left in the table for a
+        triple in no relation means an overlap or a stray triple. Nothing of
+        size n^3 is built for relations whose sizes fail."""
         if 0 in sizes:
             raise ValueError(f"relation {sizes.index(0)} is empty")
-        if sum(sizes) == n**3:
-            try:
-                return build()
-            except KeyError:
-                pass
+        if sum(sizes) == n**3 and None not in (table := build()):
+            return table
         raise ValueError("relations do not partition the triple space")
 
     @classmethod
     def triple_ids(cls, n: int, relations: tuple) -> list:
         """The id of the relation holding each triple, laid out flat at
-        x*n*n + y*n + z; KeyError on a triple in no relation."""
+        x*n*n + y*n + z; None for a triple in no relation."""
         ids: dict = {}
         for rid, rel in enumerate(relations):
             ids.update(dict.fromkeys(rel.triples, rid))
-        return list(map(ids.__getitem__, product(range(n), repeat=3)))
+        return list(map(ids.get, product(range(n), repeat=3)))
 
     def __hash__(self) -> int:
         return hash((self.n, tuple(self.table)))
@@ -362,15 +368,13 @@ class TriplePartition:
         ids = sorted(strict_int(e["id"], "relation id") for e in entries)
         if ids != list(range(len(entries))):
             raise ValueError("relation ids must be exactly 0..m")
-        cells: dict = {}  # triple index -> relation id
-        sizes = [0] * len(entries)
+        flats = [None] * len(entries)  # triple indices by relation id
         for k, e in enumerate(entries):
-            triples = json_typed(e["triples"], list, f"relations[{k}].triples")
-            rel = dict.fromkeys(_flat_indices(n, triples), e["id"])
-            sizes[e["id"]] = len(rel)
-            cells.update(rel)
-        table = cls.validate(n, sizes, lambda: list(map(cells.__getitem__, range(n**3))))
-        return cls.from_table(n, table, sizes)
+            flats[e["id"]] = _flat_indices(n, json_typed(e["triples"], list, f"relations[{k}].triples"))
+        sizes = list(map(len, flats))
+        if sum(sizes) != n**3:  # triples listed twice may make up the difference
+            sizes = [len(set(flat)) for flat in flats]
+        return cls.from_table(n, cls.validate(n, sizes, lambda: _id_table(n**3, flats)), sizes)
 
     def __repr__(self) -> str:
         return f"TriplePartition(n={self.n}, m={self.m})"

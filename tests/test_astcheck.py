@@ -62,6 +62,17 @@ def test_verify_trivial_rejects_merged_relations():
     assert not verify_trivial(A)
 
 
+@pytest.mark.parametrize("cell", [(1, 1, 1), (0, 1, 1), (0, 1, 0), (0, 0, 1)])
+def test_verify_trivial_reads_each_trivial_cell(cell):
+    """A trivial cell traded with a cell of relation 4 keeps every size right,
+    so only the table cell itself shows the nontrivial id."""
+    A = coarse_ast(4)
+    table = list(A.table)
+    i, j = (x * 16 + y * 4 + z for x, y, z in (cell, (0, 1, 2)))
+    table[i], table[j] = table[j], table[i]
+    assert table[i] == 4 and not verify_trivial(TriplePartition.from_table(4, table, A.sizes))
+
+
 def test_verify_trivial_rejects_two_block_partition():
     n = 4
     r0 = trivial_relations(n)[0]

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import io
 import json
 import os
@@ -571,6 +573,22 @@ def test_thin_tests_each_label_once(coarse5_files, monkeypatch):
     assert sum(witness is not None for e in obj["relations"] for witness in e["witnesses"].values()) == 6
 
 
+def test_thin_table_reads_no_witnesses(tmp_path, monkeypatch):
+    """The table prints only the profiles, so thin reads the witnesses only
+    for the JSON report, whose bytes are those of the reader that built every
+    entry first."""
+    calls = []
+    read_witness = cli_module._read_witness
+    monkeypatch.setattr(cli_module, "_read_witness", lambda R, ab: calls.append(ab) or read_witness(R, ab))
+    path = write_json(tmp_path, "agl7.json", orbit_partition_on_triples(agl1(7)).to_obj())
+    code, out = run(["thin", "--in", path])
+    assert code == 0 and calls == [] and out.count(": thin for ['12', '13', '23']\n") == 5
+    code, out = run(["thin", "--in", path, "--format", "json"])
+    assert code == 0 and len(calls) == 21
+    digest = "27ab2513309b82c5f380a9d4efd864dda2b96e86fda014dccce4c329ee806876"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_thin_tests_shift_closure_once_per_thin_relation(coarse5_files, monkeypatch):
     """Shift closure is a fact about the relation: thin tests it once for a
     relation with a thin label, and never for one with none."""
@@ -930,3 +948,66 @@ def test_import_loads_no_process_pool():
         out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
         loaded = json.loads(out.stderr)
         assert "circast" in loaded and "concurrent" not in loaded and "multiprocessing" not in loaded
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen-x", "--n", "3"], 0),
+        (["decompose", "--in", "{irregular}"], 1),
+        (["gen-x", "--n", "2"], 2),
+        (["gen-x"], 2),  # argparse's SystemExit
+        (["--help"], 0),  # argparse's SystemExit
+    ],
+)
+def test_main_gives_back_the_collector_state(tmp_path, enabled, argv, code):
+    irregular = write_json(tmp_path, "irr.json", PairSet.from_pairs(4, [(1, 2), (2, 1)]).to_obj())
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run([arg.format(irregular=irregular) for arg in argv])[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_gives_back_the_collector_state_on_an_unexpected_error(monkeypatch, enabled):
+    def fail(*args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli_module, "strict_int", fail)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="^unexpected$"):
+            main(["gen-x", "--n", "3"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_commands_leave_few_cycles_for_the_collector(tmp_path):
+    """The commands run with the cyclic collector off, as main runs them, and
+    leave fewer than 1,000 objects in reference cycles behind."""
+    scheme = write_json(tmp_path, "agl7.json", orbit_partition_on_triples(agl1(7)).to_obj())
+    partition = write_json(tmp_path, "x5.json", IndexPartition(5, (PairSet.universe(5),)).to_obj())
+    pairs = write_json(tmp_path, "x6.json", PairSet.universe(6).to_obj())
+    runs = [
+        ["verify-ast", "--in", scheme],
+        ["extract", "--in", scheme],
+        ["thin", "--in", scheme],
+        ["build", "--in", partition],
+        ["decompose", "--in", pairs],
+        ["search", "--n", "7"],
+    ]
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [run(argv)[0] for argv in runs]
+        found = gc.collect()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert codes == [0] * len(runs) and found < 1000

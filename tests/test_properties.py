@@ -741,6 +741,13 @@ def _overlap_of_full_size(obj):
     obj["relations"][4]["triples"][0] = [1, 1, 1]
 
 
+def _duplicate_of_full_size(obj):
+    """One triple of relation 4 listed twice and another left out: the raw
+    lengths sum to n^3, but one triple is in no relation."""
+    triples = obj["relations"][4]["triples"]
+    triples[1] = list(triples[0])
+
+
 MALFORMED = {
     "true": _set_triple(True),
     "float": _set_triple(1.5),
@@ -763,6 +770,9 @@ MALFORMED = {
     "bad-in-file-order": _bad_triples_in_file_order,
     "huge-n": lambda obj: obj.update(n=10**6, relations=[{"id": 0, "triples": [[0, 0, 0]]}]),
     "duplicate": lambda obj: obj["relations"][4]["triples"].append(list(obj["relations"][4]["triples"][0])),
+    "duplicate-of-full-size": _duplicate_of_full_size,
+    "coordinate-256": _set_triple([0, 256, 2]),
+    "huge-coordinate": _set_triple([0, 2**70, 2]),
 }
 
 
